@@ -34,6 +34,7 @@ from .evolution import (
 )
 from .flux import (
     LerayLionsFlux,
+    NonlocalOperator,
     custom_flux,
     divergence,
     neumann_n1,
@@ -44,20 +45,12 @@ from .flux import (
 )
 from .monotone import (
     MonotoneGraph,
-    conjugate,
     make_hele_shaw,
     make_identity,
     make_obstacle,
     make_power,
     make_stefan,
     make_zero,
-    minimal_section,
-    primitive,
-    range_bounds,
-    resolvent,
-    split_minus,
-    split_plus,
-    yosida,
 )
 from .oracle import (
     DenseInstance,

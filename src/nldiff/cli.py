@@ -39,6 +39,7 @@ from .flux import p_laplacian_flux, weighted_flux
 from .monotone import from_config as graph_from_config
 from .monotone import make_identity, make_zero
 from .space import (
+    REVERSIBILITY_TOL,
     DomainPartition,
     estimate_poincare_constant,
     from_kernel_grid,
@@ -388,7 +389,8 @@ def _run_check(cfg, base_dir, out_dir, stem):
 
     weighted = space.nu[:, None] * space.kernel
     gap = float(np.max(np.abs(weighted - weighted.T)))
-    add("reversibility", True, {"gap": gap})
+    add("reversibility", gap <= REVERSIBILITY_TOL * float(np.max(space.nu)),
+        {"gap": gap})
 
     omega = partition.omega
     connected = is_m_connected(space, omega)

@@ -2,7 +2,7 @@
 
 The CLI maps these onto exit codes: infeasibility (RangeInfeasible,
 CompatibilityViolated) exits 2, solver breakdowns (SolverDiverged,
-NumericalFailure, OutOfReach) exit 3, and everything else that is the
+NumericalFailure) exit 3, and everything else that is the
 caller's fault exits 1.
 """
 
@@ -87,7 +87,3 @@ class SolverDiverged(NldiffError):
 
 class NumericalFailure(NldiffError):
     """A root-finding bracket or other numeric precondition failed."""
-
-
-class OutOfReach(NumericalFailure):
-    """Resolvent target not attainable (cannot happen for maximal graphs)."""

@@ -24,7 +24,7 @@ from .errors import (
     InvalidParameter,
     RangeInfeasible,
 )
-from .flux import LerayLionsFlux, divergence, neumann_n1
+from .flux import LerayLionsFlux, NonlocalOperator, neumann_n1
 from .monotone import MonotoneGraph, make_identity, make_zero
 from .space import DomainPartition, FiniteRandomWalkSpace, m_boundary
 from .stationary import (
@@ -580,14 +580,6 @@ def refine_and_compare(problem, n_start, doublings):
 # strong residuals and the energy ledger
 # ---------------------------------------------------------------------------
 
-def _pairing_energy(space, flux, u, omega):
-    """Double sum of flux values against potential differences on omega."""
-    du = u[omega][None, :] - u[omega][:, None]
-    vals = flux.evaluate(omega[:, None], omega[None, :], du)
-    weight = space.nu[omega, None] * space.kernel[np.ix_(omega, omega)]
-    return float((weight * vals * du).sum())
-
-
 def _conjugate_sum(graph, values, nu, what):
     total = 0.0
     for val, weight in zip(values, nu):
@@ -620,6 +612,7 @@ def strong_residual(problem, solution) -> StrongResidualReport:
     n = solution.step_count
     tau = problem.horizon / n
     dynamical = problem.mode == "dynamical"
+    op = NonlocalOperator(space, problem.flux, omega, omega)
 
     jstar_initial = _conjugate_sum(problem.gamma, solution.v[0], nu1, "v0")
     jstar_final = _conjugate_sum(problem.gamma, solution.v[n], nu1, "v(T)")
@@ -633,7 +626,8 @@ def strong_residual(problem, solution) -> StrongResidualReport:
     source_work = 0.0
     for i in range(1, n + 1):
         u = solution.u[i - 1]
-        div = divergence(space, problem.flux, u, Omega=omega)
+        u_omega = u[omega]
+        div = op.apply(u_omega)
         forcing = solution.f_averages[i - 1]
         rate = (solution.v[i] - solution.v[i - 1]) / tau
         res = rate - div[pos1] - forcing[o1]
@@ -641,7 +635,7 @@ def strong_residual(problem, solution) -> StrongResidualReport:
             rate_w = (solution.w[i] - solution.w[i - 1]) / tau
             res = np.concatenate([res, rate_w - div[pos2] - forcing[o2]])
         step_residuals[i - 1] = float(np.max(np.abs(res))) if res.size else 0.0
-        pairing_sum += 0.5 * tau * _pairing_energy(space, problem.flux, u, omega)
+        pairing_sum += tau * op.pairing(u_omega, u_omega)
         source_work += tau * float((space.nu * forcing) @ u)
         if not dynamical:
             boundary_work += tau * float(nu2 @ (solution.w[i] * u[o2]))
@@ -692,20 +686,13 @@ def dtn_apply(space, W, flux, f_boundary):
     u_template = np.zeros(space.node_count)
     u_template[bd] = f_boundary
     if w_nodes.size:
-        sub = space.kernel[np.ix_(w_nodes, cl)]
+        op = NonlocalOperator(space, flux, w_nodes, cl)
         w_cols = np.searchsorted(cl, w_nodes)
 
         def f_and_jac(z, want_jac):
-            u = u_template.copy()
-            u[w_nodes] = z
-            du = u[cl][None, :] - u[w_nodes][:, None]
-            vals = flux.evaluate(w_nodes[:, None], cl[None, :], du)
-            resid = (sub * vals).sum(axis=1)
-            if not want_jac:
-                return resid, None
-            slopes = sub * flux.slope(w_nodes[:, None], cl[None, :], du)
-            jac = slopes[:, w_cols] - np.diag(slopes.sum(axis=1))
-            return resid, jac
+            u = u_template[cl]
+            u[w_cols] = z
+            return op.apply(u), op.jacobian(u) if want_jac else None
 
         scale = 1.0 + float(np.max(np.abs(f_boundary)))
         start = np.full(w_nodes.size, float(f_boundary.mean()))

@@ -2,8 +2,9 @@
 
 A flux assigns to every node pair and every difference r an antisymmetric,
 strictly monotone value with power-type growth and coercivity. The
-operators here are plain weighted sums against the walk kernel: divergence
-over a node set and the two flavors of Neumann boundary derivative.
+operators here are plain weighted sums against the walk kernel, all applied
+by one NonlocalOperator: divergence over a node set and the two flavors of
+Neumann boundary derivative.
 """
 from __future__ import annotations
 
@@ -150,6 +151,77 @@ def custom_flux(p, evaluator, c_p, C_p, node_hint=8) -> LerayLionsFlux:
 # nonlocal operators
 # ---------------------------------------------------------------------------
 
+class NonlocalOperator:
+    """The nonlocal Leray-Lions operator of a flux on one block of node pairs.
+
+    Row i stands for node ``rows[i]`` and column j for node ``cols[j]``:
+
+        apply(u)[i] = sum_j m[x_i, y_j] * a(x_i, y_j, u(y_j) - u(x_i))
+
+    over the pairs the integration set keeps ("Q1", or ("Q2", omega2) on a
+    square block).  Node vectors are indexed over ``nodes``, the sorted
+    union of rows and columns.  The masked kernel block is sliced once,
+    here; the flux is evaluated through ``flux`` on every application.  The
+    differences of the last u are kept, so that a Newton step's residual
+    and Jacobian at one u form them once; they are read-only because every
+    later call with the same u shares them.
+    """
+
+    def __init__(self, space, flux, rows, cols, integration_set="Q1"):
+        self.flux = flux
+        self.rows = rows
+        self.cols = cols
+        self.nodes = np.union1d(rows, cols)
+        square = np.array_equal(rows, cols)
+        block = space.kernel[np.ix_(rows, cols)]
+        if integration_set != "Q1":
+            if not square:
+                raise InvalidParameter("the Q2 pair set needs a square block")
+            block = block * pair_mask(space, rows, integration_set)
+        self.kernel = block
+        self.nu = space.nu[rows]
+        self._x = rows[:, None]
+        self._y = cols[None, :]
+        if square:
+            self._r = self._c = self._row_cols = slice(None)
+        else:
+            self._r = np.searchsorted(self.nodes, rows)
+            self._c = np.searchsorted(self.nodes, cols)
+            self._row_cols = np.searchsorted(cols, rows)
+        self._last_u = self._last_du = None
+
+    def _differences(self, u):
+        last = self._last_u
+        if last is None or last.shape != u.shape or not (last == u).all():
+            du = u[self._c][None, :] - u[self._r][:, None]
+            du.flags.writeable = False
+            self._last_u, self._last_du = u.copy(), du
+        return self._last_du
+
+    def apply(self, u):
+        """The operator at every row node, for u indexed over ``nodes``."""
+        vals = self.flux.evaluate(self._x, self._y, self._differences(u))
+        return (self.kernel * vals).sum(axis=1)
+
+    def jacobian(self, u):
+        """Derivative of ``apply`` with respect to u at the row nodes.
+
+        Rows must lie among the columns.  Uses the floored flux slope.
+        """
+        w = self.kernel * self.flux.slope(self._x, self._y, self._differences(u))
+        rowsum = w.sum(axis=1)
+        jac = w[:, self._row_cols]
+        jac[np.diag_indices_from(jac)] -= rowsum
+        return jac
+
+    def pairing(self, u, w):
+        """Half the nu-weighted double sum of a(u-differences)·(w-differences)."""
+        vals = self.flux.evaluate(self._x, self._y, self._differences(u))
+        return 0.5 * float(
+            np.sum(self.nu[:, None] * self.kernel * vals * self._differences(w))
+        )
+
+
 def _checked_vector(space, u, nodes, what="u"):
     u = np.asarray(u, dtype=float)
     if u.shape != (space.node_count,):
@@ -174,10 +246,7 @@ def divergence(space, flux, u, Omega=None):
         else space.node_set(Omega)
     )
     u = _checked_vector(space, u, omega)
-    sub = space.kernel[np.ix_(omega, omega)]
-    du = u[omega][None, :] - u[omega][:, None]
-    vals = flux.evaluate(omega[:, None], omega[None, :], du)
-    return (sub * vals).sum(axis=1)
+    return NonlocalOperator(space, flux, omega, omega).apply(u[omega])
 
 
 def neumann_n1(space, flux, u, W):
@@ -187,23 +256,17 @@ def neumann_n1(space, flux, u, W):
     u = _checked_vector(space, u, cl)
     if bd.size == 0:
         return np.zeros(0)
-    sub = space.kernel[np.ix_(bd, cl)]
-    du = u[cl][None, :] - u[bd][:, None]
-    vals = flux.evaluate(bd[:, None], cl[None, :], du)
-    return -(sub * vals).sum(axis=1)
+    return -NonlocalOperator(space, flux, bd, cl).apply(u[cl])
 
 
 def neumann_n2(space, flux, u, W):
     """Boundary flux against W only, on the m-boundary."""
     bd = m_boundary(space, W)
-    w_nodes = space.node_set(W)
-    u = _checked_vector(space, u, m_closure(space, W))
+    cl = m_closure(space, W)
+    u = _checked_vector(space, u, cl)
     if bd.size == 0:
         return np.zeros(0)
-    sub = space.kernel[np.ix_(bd, w_nodes)]
-    du = u[w_nodes][None, :] - u[bd][:, None]
-    vals = flux.evaluate(bd[:, None], w_nodes[None, :], du)
-    return -(sub * vals).sum(axis=1)
+    return -NonlocalOperator(space, flux, bd, space.node_set(W)).apply(u[cl])
 
 
 def pairing_identity(space, flux, u, w, Omega, integration_set):
@@ -213,14 +276,8 @@ def pairing_identity(space, flux, u, w, Omega, integration_set):
     half the double sum of flux values against differences of w.
     """
     omega = space.node_set(Omega)
-    u = _checked_vector(space, u, omega)
-    w = _checked_vector(space, w, omega, what="w")
-    mask = pair_mask(space, omega, integration_set)
-    sub = space.kernel[np.ix_(omega, omega)] * mask
-    du = u[omega][None, :] - u[omega][:, None]
-    dw = w[omega][None, :] - w[omega][:, None]
-    vals = flux.evaluate(omega[:, None], omega[None, :], du)
-    div = (sub * vals).sum(axis=1)
-    lhs = -float(np.sum(space.nu[omega] * w[omega] * div))
-    rhs = 0.5 * float(np.sum(space.nu[omega][:, None] * sub * vals * dw))
-    return lhs, rhs
+    u = _checked_vector(space, u, omega)[omega]
+    w = _checked_vector(space, w, omega, what="w")[omega]
+    op = NonlocalOperator(space, flux, omega, omega, integration_set)
+    lhs = -float(np.sum(op.nu * w * op.apply(u)))
+    return lhs, op.pairing(u, w)

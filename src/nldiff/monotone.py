@@ -647,39 +647,3 @@ def _ext(x) -> float:
             return -_INF
         raise InvalidParameter("cannot parse extended real %r" % (x,))
     return float(x)
-
-
-# ---------------------------------------------------------------------------
-# free-function interface
-# ---------------------------------------------------------------------------
-
-def resolvent(g: MonotoneGraph, mu, s):
-    return g.resolvent(mu, s)
-
-
-def yosida(g: MonotoneGraph, lam, s):
-    return g.yosida(lam, s)
-
-
-def split_plus(g: MonotoneGraph) -> MonotoneGraph:
-    return g.split_plus()
-
-
-def split_minus(g: MonotoneGraph) -> MonotoneGraph:
-    return g.split_minus()
-
-
-def minimal_section(g: MonotoneGraph, s) -> float:
-    return g.minimal_section(s)
-
-
-def primitive(g: MonotoneGraph, r) -> float:
-    return g.primitive(r)
-
-
-def conjugate(g: MonotoneGraph, v) -> float:
-    return g.conjugate(v)
-
-
-def range_bounds(g: MonotoneGraph) -> tuple[float, float]:
-    return g.range_bounds()

@@ -282,33 +282,23 @@ def is_m_connected(space: FiniteRandomWalkSpace, omega) -> bool:
     """Whether every nontrivial split of omega has positive interaction.
 
     On a finite space this is plain connectivity of the support graph
-    restricted to omega, checked here by union-find; the exhaustive
-    bipartition characterization is exercised in tests.
+    restricted to omega, with kernel links taken in both directions. It is
+    checked here by a breadth-first search that grows the reached set one
+    whole frontier at a time; the exhaustive bipartition characterization
+    is exercised in tests.
     """
     omega = space.node_set(omega)
     if omega.size == 0:
         raise InvalidParameter("omega must be nonempty")
-    if omega.size == 1:
-        return True
-    pos = {int(x): i for i, x in enumerate(omega)}
-    parent = list(range(omega.size))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    sub = space.kernel[np.ix_(omega, omega)]
-    xs, ys = np.where(sub > 0)
-    for x, y in zip(xs, ys):
-        if x == y:
-            continue
-        rx, ry = find(int(x)), find(int(y))
-        if rx != ry:
-            parent[rx] = ry
-    root = find(0)
-    return all(find(i) == root for i in range(omega.size))
+    linked = space.kernel[np.ix_(omega, omega)] > 0
+    linked = linked | linked.T
+    reached = np.zeros(omega.size, dtype=bool)
+    reached[0] = True
+    frontier = reached.copy()
+    while frontier.any():
+        frontier = linked[frontier].any(axis=0) & ~reached
+        reached |= frontier
+    return bool(reached.all())
 
 
 # ---------------------------------------------------------------------------

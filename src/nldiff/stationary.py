@@ -22,14 +22,13 @@ from .errors import (
     RangeInfeasible,
     SolverDiverged,
 )
-from .flux import LerayLionsFlux
+from .flux import LerayLionsFlux, NonlocalOperator
 from .monotone import MonotoneGraph
 from .space import (
     DomainPartition,
     FiniteRandomWalkSpace,
     estimate_poincare_constant,
     is_m_connected,
-    pair_mask,
 )
 
 DEFAULT_TOL = 1e-9
@@ -88,6 +87,10 @@ class StationaryProblem:
         if self.integration_set == "Q2":
             return ("Q2", self.partition.omega2)
         return "Q1"
+
+    def _operator(self):
+        omega = self.partition.omega
+        return NonlocalOperator(self.space, self.flux, omega, omega, self._mask_spec)
 
 
 @dataclass(frozen=True)
@@ -228,6 +231,14 @@ def default_truncation(problem, n, k):
     return 2.0 * level
 
 
+def _jacobian(op, lam, u, graph_slope):
+    """diag(graph_slope) - lam * op.jacobian(u), assembled in place."""
+    jac = op.jacobian(u)
+    jac *= -lam
+    jac[np.diag_indices_from(jac)] += graph_slope
+    return jac
+
+
 def _approx_system(problem, n, k, K):
     """Residual/Jacobian closure for the regularized system on Omega."""
     part = problem.partition
@@ -235,10 +246,7 @@ def _approx_system(problem, n, k, K):
     pos = {int(x): i for i, x in enumerate(omega)}
     idx1 = np.array([pos[int(x)] for x in part.omega1], dtype=int)
     idx2 = np.array([pos[int(x)] for x in part.omega2], dtype=int)
-    kern = problem.space.kernel[np.ix_(omega, omega)] * pair_mask(
-        problem.space, omega, problem._mask_spec
-    )
-    nodes_xy = (omega[:, None], omega[None, :])
+    op = problem._operator()
     phi = problem.phi[omega]
     lam = problem.lambda_scale
     p = problem.flux.p
@@ -267,18 +275,12 @@ def _approx_system(problem, n, k, K):
         up = np.maximum(u, 0.0)
         um = np.maximum(-u, 0.0)
         pen = inv_n * up ** (p - 1.0) - inv_k * um ** (p - 1.0)
-        du = u[None, :] - u[:, None]
-        vals = problem.flux.evaluate(*nodes_xy, du)
-        div = (kern * vals).sum(axis=1)
-        f = graph_val + pen - lam * div - phi
+        f = graph_val + pen - lam * op.apply(u) - phi
         if not want_jac:
             return f, None
         base = np.maximum(np.abs(u), 1e-12) ** (p - 2.0)
         pen_slope = (p - 1.0) * base * np.where(u >= 0.0, inv_n, inv_k)
-        slopes = problem.flux.slope(*nodes_xy, du)
-        w = kern * slopes
-        jac = np.diag(graph_slope + pen_slope + lam * w.sum(axis=1)) - lam * w
-        return f, jac
+        return f, _jacobian(op, lam, u, graph_slope + pen_slope)
 
     return f_and_jac
 
@@ -309,13 +311,7 @@ def solve_approximate(problem, n, k, K=None, start=None):
 # limit solve
 # ---------------------------------------------------------------------------
 
-def _divergence_sub(problem, kern, omega, u_sub):
-    du = u_sub[None, :] - u_sub[:, None]
-    vals = problem.flux.evaluate(omega[:, None], omega[None, :], du)
-    return (kern * vals).sum(axis=1)
-
-
-def _node_graph(problem, want="graph"):
+def _node_graph(problem):
     """Per-node graph assignment over sorted Omega."""
     part = problem.partition
     omega = part.omega
@@ -323,10 +319,11 @@ def _node_graph(problem, want="graph"):
     return [problem.beta if b else problem.gamma for b in boundary]
 
 
-def _recover_pair(problem, u_sub, kern, omega, tol, iterations, trace):
+def _recover_pair(problem, u_sub, op, tol, iterations, trace):
     """Equation-exact v with within-tolerance clamping, then verification."""
+    omega = op.rows
     graphs = _node_graph(problem)
-    div = _divergence_sub(problem, kern, omega, u_sub)
+    div = op.apply(u_sub)
     v = problem.phi[omega] + problem.lambda_scale * div
     for i, g in enumerate(graphs):
         dlo, dhi = g.domain
@@ -361,7 +358,8 @@ def _recover_pair(problem, u_sub, kern, omega, tol, iterations, trace):
     return pair if report.passed else None
 
 
-def _direct_system(problem, kern, omega):
+def _direct_system(problem, op):
+    omega = op.rows
     phi = problem.phi[omega]
     lam = problem.lambda_scale
     boundary = np.isin(omega, problem.partition.omega2)
@@ -373,16 +371,10 @@ def _direct_system(problem, kern, omega):
             if not np.any(mask):
                 continue
             val[mask], slope[mask] = g.value_slope(u[mask])
-        du = u[None, :] - u[:, None]
-        vals = problem.flux.evaluate(omega[:, None], omega[None, :], du)
-        div = (kern * vals).sum(axis=1)
-        f = val - lam * div - phi
+        f = val - lam * op.apply(u) - phi
         if not want_jac:
             return f, None
-        slopes = problem.flux.slope(omega[:, None], omega[None, :], du)
-        w = kern * slopes
-        jac = np.diag(slope + lam * w.sum(axis=1)) - lam * w
-        return f, jac
+        return f, _jacobian(op, lam, u, slope)
 
     return f_and_jac
 
@@ -422,17 +414,16 @@ def _classify(problem, u_sub, v_est, pin_radius):
     return labels
 
 
-def _polish(problem, u_sub, kern, omega, tol, pin_radius, iterations, trace):
+def _polish(problem, u_sub, op, tol, pin_radius, iterations, trace):
     """Solve the smooth system restricted to the classified active set."""
     lam = problem.lambda_scale
-    phi = problem.phi[omega]
+    phi = problem.phi[op.rows]
     for _ in range(3):
-        div = _divergence_sub(problem, kern, omega, u_sub)
-        labels = _classify(problem, u_sub, phi + lam * div, pin_radius)
+        labels = _classify(problem, u_sub, phi + lam * op.apply(u_sub), pin_radius)
         if labels is None:
             return None
         u_work = u_sub.copy()
-        pinned = np.zeros(omega.size, dtype=bool)
+        pinned = np.zeros(u_sub.size, dtype=bool)
         for i, lab in enumerate(labels):
             if lab[0] == "pin":
                 pinned[i] = True
@@ -446,9 +437,7 @@ def _polish(problem, u_sub, kern, omega, tol, pin_radius, iterations, trace):
             def f_and_jac(uf, want_jac):
                 full = u_work.copy()
                 full[free_idx] = uf
-                du = full[None, :] - full[:, None]
-                vals = problem.flux.evaluate(omega[:, None], omega[None, :], du)
-                div_f = (kern * vals).sum(axis=1)
+                div_f = op.apply(full)
                 f = np.empty(free_idx.size)
                 slope = np.empty(free_idx.size)
                 for j, i in enumerate(free_idx):
@@ -467,10 +456,7 @@ def _polish(problem, u_sub, kern, omega, tol, pin_radius, iterations, trace):
                     f[j] += -lam * div_f[i] - phi[i]
                 if not want_jac:
                     return f, None
-                slopes = problem.flux.slope(omega[:, None], omega[None, :], du)
-                w = kern * slopes
-                jac_full = np.diag(lam * w.sum(axis=1)) - lam * w
-                jac = jac_full[np.ix_(free_idx, free_idx)]
+                jac = -lam * op.jacobian(full)[free_idx][:, free_idx]
                 jac[np.diag_indices_from(jac)] += slope
                 return f, jac
 
@@ -494,9 +480,7 @@ def _polish(problem, u_sub, kern, omega, tol, pin_radius, iterations, trace):
                     ok = False
                     break
         if ok:
-            pair = _recover_pair(
-                problem, u_new, kern, omega, tol, iterations, trace
-            )
+            pair = _recover_pair(problem, u_new, op, tol, iterations, trace)
             if pair is not None:
                 return pair
         u_sub = u_new
@@ -523,18 +507,16 @@ def solve_gp(problem: StationaryProblem, tol: float = DEFAULT_TOL) -> SolutionPa
             % (report.integral_phi, report.r_minus, report.r_plus),
             report=report,
         )
-    kern = problem.space.kernel[np.ix_(omega, omega)] * pair_mask(
-        problem.space, omega, problem._mask_spec
-    )
+    op = problem._operator()
 
     if (
         problem.gamma.is_strictly_increasing_surjective()
         and problem.beta.is_strictly_increasing_surjective()
     ):
         scale = 1.0 + _phi_inf(problem)
-        fj = _direct_system(problem, kern, omega)
+        fj = _direct_system(problem, op)
         u_sub, _, its = _damped_newton(fj, np.zeros(omega.size), 1e-12 * scale)
-        pair = _recover_pair(problem, u_sub, kern, omega, tol, its, trace=())
+        pair = _recover_pair(problem, u_sub, op, tol, its, trace=())
         if pair is None:
             raise SolverDiverged("direct solve failed verification")
         return pair
@@ -563,15 +545,12 @@ def solve_gp(problem: StationaryProblem, tol: float = DEFAULT_TOL) -> SolutionPa
         else:
             pin_radius = 1e-2
         pair = _polish(
-            problem, u_sub.copy(), kern, omega, tol, pin_radius,
-            iterations, trace,
+            problem, u_sub.copy(), op, tol, pin_radius, iterations, trace
         )
         if pair is not None:
             return pair
         if u_prev is not None and change <= tol * (1.0 + np.max(np.abs(u_sub))):
-            pair = _recover_pair(
-                problem, u_sub, kern, omega, tol, iterations, trace
-            )
+            pair = _recover_pair(problem, u_sub, op, tol, iterations, trace)
             if pair is not None:
                 return pair
         u_prev = u_sub
@@ -604,9 +583,6 @@ def verify_solution(problem, pair, tol) -> VerificationReport:
     """Inclusion, equation, and conservation checks for a candidate pair."""
     part = problem.partition
     omega = part.omega
-    kern = problem.space.kernel[np.ix_(omega, omega)] * pair_mask(
-        problem.space, omega, problem._mask_spec
-    )
     u = np.asarray(pair.u, float)[omega]
     v = np.asarray(pair.v, float)[omega]
     graphs = _node_graph(problem)
@@ -623,7 +599,7 @@ def verify_solution(problem, pair, tol) -> VerificationReport:
             inclusion = max(inclusion, v[i] - hi)
         elif v[i] < lo:
             inclusion = max(inclusion, lo - v[i])
-    div = _divergence_sub(problem, kern, omega, u)
+    div = problem._operator().apply(u)
     eq = float(np.max(np.abs(v - problem.lambda_scale * div - problem.phi[omega])))
     nu = problem.space.nu[omega]
     mass_v = float((nu * v).sum())
@@ -663,9 +639,7 @@ def energy_report(problem, pair):
     omega = problem.partition.omega
     u = np.asarray(pair.u, float)[omega]
     nu = problem.space.nu[omega]
-    kern = problem.space.kernel[np.ix_(omega, omega)] * pair_mask(
-        problem.space, omega, problem._mask_spec
-    )
+    kern = problem._operator().kernel
     p = problem.flux.p
     q = p / (p - 1.0)
     du = np.abs(u[None, :] - u[:, None])

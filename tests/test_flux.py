@@ -1,4 +1,4 @@
-"""Tests for flux functions and the nonlocal divergence/boundary operators."""
+"""Tests for flux functions, the nonlocal operator and the operators built on it."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from nldiff.errors import InvalidExponent, InvalidParameter, MissingValues, WeightOutOfRange
 from nldiff.flux import (
+    NonlocalOperator,
     custom_flux,
     divergence,
     neumann_n1,
@@ -15,7 +16,7 @@ from nldiff.flux import (
     pairing_identity,
     weighted_flux,
 )
-from nldiff.space import from_weighted_graph
+from nldiff.space import from_weighted_graph, m_closure
 
 RNG_SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -194,3 +195,46 @@ def test_pairing_identity_random(seed, p, use_q2):
     w = rng.standard_normal(7)
     lhs, rhs = pairing_identity(space, p_laplacian_flux(p), u, w, omega, iset)
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
+
+
+# -- the operator's Jacobian --------------------------------------------------
+
+JACOBIAN_FLUXES = {
+    "p1.5": p_laplacian_flux(1.5),
+    "p2": p_laplacian_flux(2.0),
+    "p3": p_laplacian_flux(3.0),
+    "weighted": weighted_flux(2.5, [1.0, 2.0, 0.5, 1.5, 3.0, 1.0, 2.5]),
+    "custom": custom_flux(
+        2.0,
+        lambda x, y, r: (2.0 + np.sin(x + y)) * r + r ** 3 / (1.0 + r ** 2),
+        c_p=1.0,
+        C_p=4.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JACOBIAN_FLUXES))
+@pytest.mark.parametrize("block", ["Q1", "Q2", "closure"])
+def test_operator_jacobian_matches_finite_differences(name, block):
+    rng = np.random.default_rng(11)
+    space = random_space(rng, 7)
+    if block == "closure":
+        rows = space.node_set([1, 4])
+        cols = m_closure(space, rows)
+        assert cols.size > rows.size
+        op = NonlocalOperator(space, JACOBIAN_FLUXES[name], rows, cols)
+    else:
+        rows = space.node_set(range(7))
+        iset = "Q1" if block == "Q1" else ("Q2", space.node_set([0, 3, 5]))
+        op = NonlocalOperator(space, JACOBIAN_FLUXES[name], rows, rows, iset)
+    # node values at least 1e-3 apart, so the slope floor never applies
+    u = rng.permutation(op.nodes.size) * 0.05 + rng.random(op.nodes.size) * 0.01
+    h = 1e-6
+    fd = np.empty((rows.size, rows.size))
+    for k, pos in enumerate(np.searchsorted(op.nodes, rows)):
+        step = np.zeros(op.nodes.size)
+        step[pos] = h
+        fd[:, k] = (op.apply(u + step) - op.apply(u - step)) / (2.0 * h)
+    jac = op.jacobian(u)
+    assert jac.shape == (rows.size, rows.size)
+    assert np.allclose(jac, fd, rtol=1e-5, atol=1e-6 * float(np.max(np.abs(fd))))
