@@ -28,9 +28,13 @@ from .flux import LerayLionsFlux, NonlocalOperator, neumann_n1
 from .monotone import MonotoneGraph, make_identity, make_zero
 from .space import DomainPartition, FiniteRandomWalkSpace, m_boundary
 from .stationary import (
+    DEFAULT_TOL,
     SolutionPair,
     StationaryProblem,
+    _check_domain,
+    _check_feasible,
     _damped_newton,
+    _solve,
     _weighted_bound,
     solve_gp,
 )
@@ -452,9 +456,12 @@ def mild_solve(problem, n_steps) -> MildSolution:
 
     Each step solves one stationary problem with the step size as the
     divergence scaling and the forcing folded into the data, so the
-    per-step conservation identity telescopes into the mass ledger.
-    Raises CompatibilityViolated when the probe fails up front or a step
-    loses range feasibility, and SolverDiverged from the inner solver.
+    per-step conservation identity telescopes into the mass ledger.  The
+    domain is checked and the operator built once per trajectory, the
+    range condition on every step, and each step's solve starts from the
+    previous step's potential.  Raises CompatibilityViolated when the
+    probe fails up front or a step loses range feasibility, and
+    SolverDiverged from the inner solver.
     """
     n = int(n_steps)
     if n != n_steps or n < 1:
@@ -497,6 +504,7 @@ def mild_solve(problem, n_steps) -> MildSolution:
     state[o1] = problem.v0
     if dynamical:
         state[o2] = problem.w0
+    op = u_start = None
     for i in range(1, n + 1):
         t0, t1 = times[i - 1], times[i]
         forcing = np.zeros(nn)
@@ -514,14 +522,19 @@ def mild_solve(problem, n_steps) -> MildSolution:
             integration_set="Q1",
             lambda_scale=tau,
         )
+        if op is None:
+            _check_domain(stat)
+            op = stat._operator()
         try:
-            pair = solve_gp(stat)
+            _check_feasible(stat)
         except RangeInfeasible as exc:
             raise CompatibilityViolated(
                 "range condition failed at step %d (t=%.6g); the "
                 "compatibility margin was insufficient" % (i, times[i]),
                 report=exc.report,
             ) from exc
+        pair = _solve(stat, op, u_start, DEFAULT_TOL)
+        u_start = pair.u[op.rows]
         u_rows[i - 1] = pair.u
         v_rows[i] = pair.v[o1]
         w_rows[i] = pair.v[o2] if dynamical else pair.v[o2] / tau

@@ -151,8 +151,14 @@ class MonotoneGraph:
 
     # -- basic queries ------------------------------------------------------
 
-    def interval(self, r) -> tuple[float, float]:
-        """Closed value interval at r; raises outside the domain."""
+    def interval(self, r):
+        """Closed value interval at r; raises outside the domain.
+
+        A scalar r gives a pair of floats, an array r a pair of arrays of
+        its shape, elementwise the same as the scalar form.
+        """
+        if np.ndim(r) != 0:
+            return self._interval_array(np.asarray(r, dtype=float))
         r = float(r)
         if r < self.domain[0] or r > self.domain[1]:
             raise InvalidParameter("r=%g outside domain %s" % (r, self.domain))
@@ -164,6 +170,27 @@ class MonotoneGraph:
                 else:
                     val = self._piece_at(el, r)
                     lo, hi = min(lo, val), max(hi, val)
+        return lo, hi
+
+    def _interval_array(self, r):
+        outside = (r < self.domain[0]) | (r > self.domain[1])
+        if np.any(outside):
+            raise InvalidParameter(
+                "r=%g outside domain %s" % (r[outside].flat[0], self.domain)
+            )
+        lo = np.full(r.shape, _INF)
+        hi = np.full(r.shape, -_INF)
+        for el in self.elements:
+            m = (el.r0 <= r) & (r <= el.r1)
+            if not np.any(m):
+                continue
+            if el.kind == "vertical":
+                lo[m] = np.minimum(lo[m], el.v0)
+                hi[m] = np.maximum(hi[m], el.v1)
+            else:
+                val = _piece_values(el, r[m])
+                lo[m] = np.minimum(lo[m], val)
+                hi[m] = np.maximum(hi[m], val)
         return lo, hi
 
     @staticmethod
@@ -241,6 +268,18 @@ class MonotoneGraph:
 
     def resolvent(self, mu, s):
         """Solve s in r + mu*graph(r) for r; nonexpansive in s."""
+        return self._resolvent_impl(mu, s, want_slope=False)[0]
+
+    def resolvent_slope(self, mu, s):
+        """Resolvent together with its derivative in s.
+
+        The derivative is 0 where s maps onto a vertical element,
+        1/(1 + mu*b) on an affine piece and 1/(1 + mu*c*e*|r|**(e-1)) at
+        r on a power piece.
+        """
+        return self._resolvent_impl(mu, s, want_slope=True)
+
+    def _resolvent_impl(self, mu, s, want_slope):
         if mu <= 0:
             raise InvalidParameter("mu must be positive")
         scalar = np.isscalar(s) or np.ndim(s) == 0
@@ -250,6 +289,7 @@ class MonotoneGraph:
             np.searchsorted(sc[1:-1], s, side="right"), 0, len(self.elements) - 1
         )
         out = np.empty_like(s)
+        slope = np.empty_like(s) if want_slope else None
         for i, el in enumerate(self.elements):
             m = idx == i
             if not np.any(m):
@@ -257,11 +297,22 @@ class MonotoneGraph:
             sm = s[m]
             if el.kind == "vertical":
                 out[m] = el.r0
+                if want_slope:
+                    slope[m] = 0.0
             elif el.kind == "affine":
                 out[m] = np.clip((sm - mu * el.p) / (1.0 + mu * el.q), el.r0, el.r1)
+                if want_slope:
+                    slope[m] = 1.0 / (1.0 + mu * el.q)
             else:
-                out[m] = _bisect_resolvent_power(el, mu, sm)
-        return float(out[0]) if scalar else out
+                r = _bisect_resolvent_power(el, mu, sm)
+                out[m] = r
+                if want_slope:
+                    with np.errstate(divide="ignore", over="ignore"):
+                        t = el.p * el.q * np.abs(r) ** (el.q - 1.0)
+                    slope[m] = 1.0 / (1.0 + mu * t)
+        if scalar:
+            return (float(out[0]), float(slope[0]) if want_slope else None)
+        return out, slope
 
     def yosida(self, lam, s):
         val, _ = self._yosida_impl(lam, s, want_slope=False)
@@ -468,6 +519,25 @@ def _path_to(elements, r_cut, v_cut):
             else:
                 out.append(el)
     return out
+
+
+def _piece_values(el: El, r):
+    """``MonotoneGraph._piece_at`` for an array of r on a non-vertical element."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        if el.kind == "affine":
+            val = np.where(
+                np.isinf(r),
+                el.p if el.q == 0.0 else np.copysign(_INF, r),
+                el.p + el.q * r,
+            )
+        else:
+            val = np.where(
+                np.isinf(r),
+                np.copysign(_INF, r),
+                el.p * np.copysign(np.abs(r) ** el.q, r),
+            )
+            val[r == 0.0] = 0.0
+    return np.clip(val, el.v0, el.v1)
 
 
 def _piece_integral(el: El, a, b) -> float:

@@ -4,11 +4,20 @@ The problem posed on a node set Omega split into a bulk part and a boundary
 part: find u and v with v in the bulk graph of u on omega1, v in the
 boundary graph of u on omega2, and v - lambda*div u = phi on all of Omega.
 
-The solver follows the regularization route: split each graph into its
-nonnegative and nonpositive parts, replace them by regularized single-valued
-approximations with a truncation guard, add a small odd-power penalty, and
-drive the index schedule until an active-set polish reproduces an exact
-solution of the limit inclusion.
+Three paths solve it, and each ends in the same recovery of v from the
+equation and the same verification of the pair.
+
+* Direct: when both graphs are strictly increasing maps onto the line,
+  damped Newton runs on graph(u) - lambda*div u = phi.
+* Resolvent Newton: for any other graphs.  For mu > 0, v lies in the graph
+  at u exactly when u = J_mu(u + mu*v), with J_mu the graph's resolvent, so
+  semismooth Newton runs on F(u) = u - J_mu(u + mu*(phi + lambda*div u))
+  with the elementwise derivative of J_mu: the primal-dual active-set
+  method, with no regularization parameter.
+* Fallback: when the resolvent Newton stalls or its pair fails
+  verification, the regularization schedule solves regularized problems
+  (split graphs replaced by Yosida approximations) at doubling indices and
+  restarts the resolvent Newton from each level's solution.
 """
 from __future__ import annotations
 
@@ -33,6 +42,7 @@ from .space import (
 
 DEFAULT_TOL = 1e-9
 MAX_SCHEDULE_LEVEL = 40
+RESOLVENT_MU = 1.0
 RANGE_EPS_BASE = 1e-10
 
 
@@ -241,37 +251,30 @@ def _jacobian(op, lam, u, graph_slope):
 
 def _approx_system(problem, n, k, K):
     """Residual/Jacobian closure for the regularized system on Omega."""
-    part = problem.partition
-    omega = part.omega
-    pos = {int(x): i for i, x in enumerate(omega)}
-    idx1 = np.array([pos[int(x)] for x in part.omega1], dtype=int)
-    idx2 = np.array([pos[int(x)] for x in part.omega2], dtype=int)
     op = problem._operator()
-    phi = problem.phi[omega]
+    phi = problem.phi[op.rows]
     lam = problem.lambda_scale
     p = problem.flux.p
     inv_n, inv_k = 1.0 / n, 1.0 / k
-    splits = {
-        "gamma": (problem.gamma.split_plus(), problem.gamma.split_minus()),
-        "beta": (problem.beta.split_plus(), problem.beta.split_minus()),
-    }
+    parts = [
+        (mask, g.split_plus(), g.split_minus())
+        for g, mask in _graph_parts(problem, op.rows)
+    ]
 
     def f_and_jac(u, want_jac):
         graph_val = np.empty_like(u)
         graph_slope = np.empty_like(u) if want_jac else None
-        for idx, (gp, gm) in ((idx1, splits["gamma"]), (idx2, splits["beta"])):
-            if idx.size == 0:
-                continue
+        for mask, gp, gm in parts:
             if want_jac:
-                vp, sp = gp.yosida_slope(k, u[idx])
-                vm, sm = gm.yosida_slope(n, u[idx])
+                vp, sp = gp.yosida_slope(k, u[mask])
+                vm, sm = gm.yosida_slope(n, u[mask])
                 sp = np.where(np.abs(vp) >= K, 0.0, sp)
                 sm = np.where(np.abs(vm) >= K, 0.0, sm)
-                graph_slope[idx] = sp + sm
+                graph_slope[mask] = sp + sm
             else:
-                vp = gp.yosida(k, u[idx])
-                vm = gm.yosida(n, u[idx])
-            graph_val[idx] = np.clip(vp, -K, K) + np.clip(vm, -K, K)
+                vp = gp.yosida(k, u[mask])
+                vm = gm.yosida(n, u[mask])
+            graph_val[mask] = np.clip(vp, -K, K) + np.clip(vm, -K, K)
         up = np.maximum(u, 0.0)
         um = np.maximum(-u, 0.0)
         pen = inv_n * up ** (p - 1.0) - inv_k * um ** (p - 1.0)
@@ -311,35 +314,36 @@ def solve_approximate(problem, n, k, K=None, start=None):
 # limit solve
 # ---------------------------------------------------------------------------
 
-def _node_graph(problem):
-    """Per-node graph assignment over sorted Omega."""
-    part = problem.partition
-    omega = part.omega
-    boundary = np.isin(omega, part.omega2)
-    return [problem.beta if b else problem.gamma for b in boundary]
+def _graph_parts(problem, omega):
+    """(graph, mask over omega) for the bulk and boundary parts present."""
+    boundary = np.isin(omega, problem.partition.omega2)
+    return [
+        (g, mask)
+        for g, mask in ((problem.gamma, ~boundary), (problem.beta, boundary))
+        if np.any(mask)
+    ]
+
+
+def _clamp_near(v, lo, hi, gap_tol):
+    """v moved onto [lo, hi] where it misses it by at most gap_tol."""
+    v = np.where((v < lo) & (lo - v <= gap_tol), lo, v)
+    return np.where((v > hi) & (v - hi <= gap_tol), hi, v)
 
 
 def _recover_pair(problem, u_sub, op, tol, iterations, trace):
     """Equation-exact v with within-tolerance clamping, then verification."""
     omega = op.rows
-    graphs = _node_graph(problem)
     div = op.apply(u_sub)
     v = problem.phi[omega] + problem.lambda_scale * div
-    for i, g in enumerate(graphs):
+    gap_tol = tol * (1.0 + np.abs(v))
+    for g, mask in _graph_parts(problem, omega):
         dlo, dhi = g.domain
-        if u_sub[i] < dlo or u_sub[i] > dhi:
+        u_part = u_sub[mask]
+        if np.any(u_part < dlo) or np.any(u_part > dhi):
             return None
-        lo, hi = g.interval(u_sub[i])
-        gap_tol = tol * (1.0 + abs(v[i]))
-        if v[i] < lo and lo - v[i] <= gap_tol:
-            v[i] = lo
-        elif v[i] > hi and v[i] - hi <= gap_tol:
-            v[i] = hi
-        lo_r, hi_r = g.range_inf, g.range_sup
-        if v[i] < lo_r and lo_r - v[i] <= gap_tol:
-            v[i] = lo_r
-        elif v[i] > hi_r and v[i] - hi_r <= gap_tol:
-            v[i] = hi_r
+        lo, hi = g.interval(u_part)
+        v_part = _clamp_near(v[mask], lo, hi, gap_tol[mask])
+        v[mask] = _clamp_near(v_part, g.range_inf, g.range_sup, gap_tol[mask])
     u_full = np.zeros(problem.space.node_count)
     v_full = np.zeros(problem.space.node_count)
     u_full[omega] = u_sub
@@ -359,17 +363,14 @@ def _recover_pair(problem, u_sub, op, tol, iterations, trace):
 
 
 def _direct_system(problem, op):
-    omega = op.rows
-    phi = problem.phi[omega]
+    phi = problem.phi[op.rows]
     lam = problem.lambda_scale
-    boundary = np.isin(omega, problem.partition.omega2)
+    parts = _graph_parts(problem, op.rows)
 
     def f_and_jac(u, want_jac):
         val = np.empty_like(u)
         slope = np.empty_like(u)
-        for g, mask in ((problem.gamma, ~boundary), (problem.beta, boundary)):
-            if not np.any(mask):
-                continue
+        for g, mask in parts:
             val[mask], slope[mask] = g.value_slope(u[mask])
         f = val - lam * op.apply(u) - phi
         if not want_jac:
@@ -379,127 +380,64 @@ def _direct_system(problem, op):
     return f_and_jac
 
 
-def _classify(problem, u_sub, v_est, pin_radius):
-    """Per-node active element: ("pin", knot, v0, v1) or ("piece", element)."""
-    graphs = _node_graph(problem)
-    labels = []
-    for i, g in enumerate(graphs):
-        u_i = u_sub[i]
-        chosen = None
-        for t, (v0, v1) in sorted(g.jumps.items()):
-            if abs(u_i - t) <= pin_radius * (1.0 + abs(t)):
-                slack = 0.1 * (1.0 + abs(v_est[i]))
-                lo_ok = not np.isfinite(v0) or v_est[i] >= v0 - slack
-                hi_ok = not np.isfinite(v1) or v_est[i] <= v1 + slack
-                if lo_ok and hi_ok:
-                    chosen = ("pin", t, v0, v1)
-                    break
-        if chosen is None:
-            best = None
-            for el in g.elements:
-                if el.kind == "vertical":
-                    continue
-                if el.r0 - 1e-12 <= u_i <= el.r1 + 1e-12 or (
-                    el.r0 <= u_i + pin_radius and u_i - pin_radius <= el.r1
-                ):
-                    r_clip = min(max(u_i, el.r0), el.r1)
-                    val = MonotoneGraph._piece_at(el, r_clip)
-                    score = abs(v_est[i] - val)
-                    if best is None or score < best[0]:
-                        best = (score, el)
-            if best is None:
-                return None
-            chosen = ("piece", best[1])
-        labels.append(chosen)
-    return labels
+def _resolvent_system(problem, op):
+    """Residual/Jacobian closure for F(u) = u - J(u + mu*(phi + lam*div u)).
 
-
-def _polish(problem, u_sub, op, tol, pin_radius, iterations, trace):
-    """Solve the smooth system restricted to the classified active set."""
-    lam = problem.lambda_scale
-    phi = problem.phi[op.rows]
-    for _ in range(3):
-        labels = _classify(problem, u_sub, phi + lam * op.apply(u_sub), pin_radius)
-        if labels is None:
-            return None
-        u_work = u_sub.copy()
-        pinned = np.zeros(u_sub.size, dtype=bool)
-        for i, lab in enumerate(labels):
-            if lab[0] == "pin":
-                pinned[i] = True
-                u_work[i] = lab[1]
-        free = ~pinned
-        if not np.any(free):
-            u_new = u_work
-        else:
-            free_idx = np.where(free)[0]
-
-            def f_and_jac(uf, want_jac):
-                full = u_work.copy()
-                full[free_idx] = uf
-                div_f = op.apply(full)
-                f = np.empty(free_idx.size)
-                slope = np.empty(free_idx.size)
-                for j, i in enumerate(free_idx):
-                    el = labels[i][1]
-                    if el.kind == "affine":
-                        f[j] = el.p + el.q * full[i]
-                        slope[j] = el.q
-                    else:
-                        f[j] = el.p * np.sign(full[i]) * abs(full[i]) ** el.q
-                        with np.errstate(divide="ignore"):
-                            slope[j] = min(
-                                el.p * el.q
-                                * max(abs(full[i]), 1e-300) ** (el.q - 1.0),
-                                1e300,
-                            )
-                    f[j] += -lam * div_f[i] - phi[i]
-                if not want_jac:
-                    return f, None
-                jac = -lam * op.jacobian(full)[free_idx][:, free_idx]
-                jac[np.diag_indices_from(jac)] += slope
-                return f, jac
-
-            scale = 1.0 + _phi_inf(problem)
-            try:
-                uf, _, its = _damped_newton(
-                    f_and_jac, u_work[free_idx], 1e-12 * scale, total_cap=200
-                )
-            except SolverDiverged:
-                return None
-            iterations += its
-            u_new = u_work.copy()
-            u_new[free_idx] = uf
-        # membership check: free nodes must stay on their element
-        ok = True
-        for i, lab in enumerate(labels):
-            if lab[0] == "piece":
-                el = lab[1]
-                slack = 1e-9 * (1.0 + abs(u_new[i]))
-                if u_new[i] < el.r0 - slack or u_new[i] > el.r1 + slack:
-                    ok = False
-                    break
-        if ok:
-            pair = _recover_pair(problem, u_new, op, tol, iterations, trace)
-            if pair is not None:
-                return pair
-        u_sub = u_new
-    return None
-
-
-def solve_gp(problem: StationaryProblem, tol: float = DEFAULT_TOL) -> SolutionPair:
-    """Solve the stationary inclusion problem.
-
-    Raises RangeInfeasible when the data integral is not strictly inside
-    the range bounds, NotConnected for a disconnected domain, and
-    SolverDiverged when the schedule is exhausted.
+    J applies each node's graph resolvent at RESOLVENT_MU, and D is its
+    derivative, so the Jacobian is I - D*(I + mu*lam*op.jacobian(u)).
     """
-    part = problem.partition
-    omega = part.omega
-    if not is_m_connected(problem.space, omega):
+    phi = problem.phi[op.rows]
+    lam = problem.lambda_scale
+    mu = RESOLVENT_MU
+    parts = _graph_parts(problem, op.rows)
+
+    def f_and_jac(u, want_jac):
+        s = u + mu * (phi + lam * op.apply(u))
+        r = np.empty_like(u)
+        d = np.empty_like(u) if want_jac else None
+        for g, mask in parts:
+            if want_jac:
+                r[mask], d[mask] = g.resolvent_slope(mu, s[mask])
+            else:
+                r[mask] = g.resolvent(mu, s[mask])
+        f = u - r
+        if not want_jac:
+            return f, None
+        jac = op.jacobian(u)
+        jac *= (-mu * lam) * d[:, None]
+        jac[np.diag_indices_from(jac)] += 1.0 - d
+        return f, jac
+
+    return f_and_jac
+
+
+def _resolvent_newton(problem, op, start, tol, iterations, trace):
+    """Verified pair from the resolvent Newton at ``start``, or None."""
+    fj = _resolvent_system(problem, op)
+    scale = 1.0 + _phi_inf(problem)
+    try:
+        u, _, its = _damped_newton(fj, start, 1e-12 * scale)
+    except SolverDiverged:
+        return None
+    # u is within the stopping tolerance of the resolvent image, which lies
+    # in the graph's domain; clip it there instead of moving u onto the
+    # image, which can shift v = phi + lam*div u by far more than the
+    # tolerance when p < 2 and neighbouring values nearly agree
+    for g, mask in _graph_parts(problem, op.rows):
+        u[mask] = np.clip(u[mask], *g.domain)
+    return _recover_pair(problem, u, op, tol, iterations + its, trace)
+
+
+def _check_domain(problem):
+    """Raise NotConnected unless the problem's domain hypotheses hold."""
+    if not is_m_connected(problem.space, problem.partition.omega):
         raise NotConnected("the problem domain is not m-connected")
     if problem.integration_set == "Q2":
         _check_q2_hypothesis(problem)
+
+
+def _check_feasible(problem):
+    """Raise RangeInfeasible unless the data integral is inside the range."""
     report = check_range(problem)
     if not report.feasible:
         raise RangeInfeasible(
@@ -507,8 +445,28 @@ def solve_gp(problem: StationaryProblem, tol: float = DEFAULT_TOL) -> SolutionPa
             % (report.integral_phi, report.r_minus, report.r_plus),
             report=report,
         )
-    op = problem._operator()
 
+
+def solve_gp(problem: StationaryProblem, tol: float = DEFAULT_TOL) -> SolutionPair:
+    """Solve the stationary inclusion problem.
+
+    Raises RangeInfeasible when the data integral is not strictly inside
+    the range bounds, NotConnected for a disconnected domain, and
+    SolverDiverged when the direct solve fails verification or the
+    fallback schedule is exhausted.
+    """
+    _check_domain(problem)
+    _check_feasible(problem)
+    return _solve(problem, problem._operator(), None, tol)
+
+
+def _solve(problem, op, start, tol):
+    """Solve a checked problem with its operator ``op``.
+
+    ``start`` is a guess for u over Omega, or None for zero; the direct
+    path always starts at zero.
+    """
+    omega = op.rows
     if (
         problem.gamma.is_strictly_increasing_surjective()
         and problem.beta.is_strictly_increasing_surjective()
@@ -519,6 +477,11 @@ def solve_gp(problem: StationaryProblem, tol: float = DEFAULT_TOL) -> SolutionPa
         pair = _recover_pair(problem, u_sub, op, tol, its, trace=())
         if pair is None:
             raise SolverDiverged("direct solve failed verification")
+        return pair
+
+    u0 = np.zeros(omega.size) if start is None else start
+    pair = _resolvent_newton(problem, op, u0, tol, 0, ())
+    if pair is not None:
         return pair
 
     u_prev = None
@@ -540,13 +503,7 @@ def solve_gp(problem: StationaryProblem, tol: float = DEFAULT_TOL) -> SolutionPa
         )
         trace.append((nk, nk, change))
         iterations += 1
-        if u_prev is not None:
-            pin_radius = max(4.0 * change, 1e-11)
-        else:
-            pin_radius = 1e-2
-        pair = _polish(
-            problem, u_sub.copy(), op, tol, pin_radius, iterations, trace
-        )
+        pair = _resolvent_newton(problem, op, u_sub, tol, iterations, trace)
         if pair is not None:
             return pair
         if u_prev is not None and change <= tol * (1.0 + np.max(np.abs(u_sub))):
@@ -585,20 +542,18 @@ def verify_solution(problem, pair, tol) -> VerificationReport:
     omega = part.omega
     u = np.asarray(pair.u, float)[omega]
     v = np.asarray(pair.v, float)[omega]
-    graphs = _node_graph(problem)
     inclusion = 0.0
-    for i, g in enumerate(graphs):
+    delta = tol * (1.0 + np.abs(u))
+    for g, mask in _graph_parts(problem, omega):
         dlo, dhi = g.domain
-        delta = tol * (1.0 + abs(u[i]))
-        if u[i] < dlo - delta or u[i] > dhi + delta:
+        u_part, d_part, v_part = u[mask], delta[mask], v[mask]
+        outside = (u_part < dlo - d_part) | (u_part > dhi + d_part)
+        if np.any(outside):
             inclusion = float("inf")
-            continue
-        lo = g.interval(min(max(u[i] - delta, dlo), dhi))[0]
-        hi = g.interval(min(max(u[i] + delta, dlo), dhi))[1]
-        if v[i] > hi:
-            inclusion = max(inclusion, v[i] - hi)
-        elif v[i] < lo:
-            inclusion = max(inclusion, lo - v[i])
+        lo = g.interval(np.clip(u_part - d_part, dlo, dhi))[0]
+        hi = g.interval(np.clip(u_part + d_part, dlo, dhi))[1]
+        gap = np.where(v_part > hi, v_part - hi, np.where(v_part < lo, lo - v_part, 0.0))
+        inclusion = max(inclusion, float(np.max(gap[~outside], initial=0.0)))
     div = problem._operator().apply(u)
     eq = float(np.max(np.abs(v - problem.lambda_scale * div - problem.phi[omega])))
     nu = problem.space.nu[omega]

@@ -1,9 +1,12 @@
 """Tests for the implicit-Euler evolution solver and the boundary map."""
 
+import time
+
 import numpy as np
 import pytest
 
 from conftest import random_space
+from nldiff import evolution, stationary
 from nldiff.errors import CompatibilityViolated, InvalidParameter
 from nldiff.evolution import (
     EvolutionProblem,
@@ -16,9 +19,15 @@ from nldiff.evolution import (
     strong_residual,
 )
 from nldiff.flux import p_laplacian_flux
-from nldiff.monotone import make_hele_shaw, make_identity, make_stefan
+from nldiff.monotone import make_hele_shaw, make_identity, make_obstacle, make_stefan
 from nldiff.oracle import DenseInstance, linear_evolution_oracle, schur_dtn_oracle
-from nldiff.space import DomainPartition, from_weighted_graph, m_boundary
+from nldiff.space import (
+    DomainPartition,
+    from_kernel_grid,
+    from_weighted_graph,
+    m_boundary,
+)
+from nldiff.stationary import DEFAULT_TOL, verify_solution
 
 TWO_NODE = from_weighted_graph([[0, 1], [1, 0]])
 LOOP = from_weighted_graph([[1.0]])  # single node with a self-loop
@@ -355,3 +364,105 @@ def test_dtn_evolution_conserves_boundary_mass():
 def test_dtn_evolve_needs_a_boundary():
     with pytest.raises(InvalidParameter):
         dtn_evolve(TWO_NODE, [0, 1], P2, None, np.zeros(0), 1.0, 2)
+
+
+# -- free-boundary trajectories on a kernel grid -------------------------------
+
+def _grid(side):
+    xs, ys = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
+    points = np.column_stack([xs.ravel(), ys.ravel()]).astype(float)
+    ring = ((xs == 0) | (ys == 0) | (xs == side - 1) | (ys == side - 1)).ravel()
+    space = from_kernel_grid(points, 1.0, {"type": "indicator", "radius": 1.5})
+    return space, DomainPartition(np.where(~ring)[0], np.where(ring)[0])
+
+
+GRID, RING = _grid(7)
+# law, and the span its initial states are spread over
+GRID_LAWS = {
+    "stefan": (lambda: make_stefan(1.0), (-1.0, 2.0)),
+    "hele_shaw": (make_hele_shaw, (-0.5, 1.5)),
+    "obstacle": (lambda: make_obstacle(-1.0, 1.0, make_identity()), (-2.0, 2.0)),
+}
+
+
+def grid_problem(seed, law):
+    """Dynamical trajectory with the same law on both parts of the 7x7 grid.
+
+    Initial states take one value per equal slice of the law's span, so
+    every trajectory starts with nodes on both sides of the jumps.
+    Constant sources are added when the law's range is the whole line.
+    """
+    rng = np.random.default_rng(seed)
+    make, (lo, hi) = GRID_LAWS[law]
+    graph = make()
+
+    def draw(n):
+        v = lo + (hi - lo) * (rng.permutation(n) + rng.random(n)) / n
+        return np.clip(v, graph.range_inf, graph.range_sup)
+
+    o1, o2 = RING.omega1, RING.omega2
+    v0, w0 = draw(o1.size), draw(o2.size)
+    f = g = None
+    if np.isinf(graph.range_inf) and np.isinf(graph.range_sup):
+        f = rng.uniform(-0.5, 0.5, o1.size)
+        g = rng.uniform(-0.5, 0.5, o2.size)
+    return EvolutionProblem(
+        space=GRID, partition=RING, flux=P2, gamma=graph, beta=graph,
+        mode="dynamical", v0=v0, w0=w0, f=f, g=g, horizon=0.5,
+    )
+
+
+@pytest.fixture
+def step_pairs(monkeypatch):
+    """(problem, pair) of every step that mild_solve solves in the test."""
+    seen = []
+    solve = evolution._solve
+
+    def recording(problem, op, start, tol):
+        pair = solve(problem, op, start, tol)
+        seen.append((problem, pair))
+        return pair
+
+    monkeypatch.setattr(evolution, "_solve", recording)
+    return seen
+
+
+@pytest.mark.parametrize("law, steps", [("stefan", 4), ("hele_shaw", 8)])
+def test_free_boundary_grid_steps_take_no_schedule_level(step_pairs, law, steps):
+    for seed in range(6):
+        mild_solve(grid_problem(seed, law), steps)
+    assert len(step_pairs) == 6 * steps
+    assert [pair.schedule_trace for _, pair in step_pairs] == [()] * (6 * steps)
+
+
+def test_obstacle_grid_trajectories_verify_every_step(step_pairs):
+    """Seed 3 is a feasible trajectory on which the regularization schedule
+    alone ran all 41 levels (44 s) and then raised SolverDiverged."""
+    for seed in range(8):
+        start = time.perf_counter()
+        sol = mild_solve(grid_problem(seed, "obstacle"), 8)
+        assert time.perf_counter() - start < 10.0, "seed %d too slow" % seed
+        assert np.all(np.abs(sol.u[:, RING.omega]) <= 1.0)
+    assert len(step_pairs) == 64
+    for problem, pair in step_pairs:
+        assert verify_solution(problem, pair, DEFAULT_TOL).passed
+
+
+def test_fallback_schedule_solves_obstacle_grid_steps(step_pairs, monkeypatch):
+    """Every step forced through the schedule by failing the first Newton."""
+    newton = stationary._resolvent_newton
+
+    def fail_first(problem, op, start, tol, iterations, trace):
+        if not trace:
+            return None
+        return newton(problem, op, start, tol, iterations, trace)
+
+    monkeypatch.setattr(stationary, "_resolvent_newton", fail_first)
+    for seed in range(3):
+        start = time.perf_counter()
+        mild_solve(grid_problem(seed, "obstacle"), 8)
+        assert time.perf_counter() - start < 30.0, "seed %d too slow" % seed
+    assert len(step_pairs) == 24
+    for problem, pair in step_pairs:
+        assert pair.schedule_trace
+        assert verify_solution(problem, pair, DEFAULT_TOL).passed

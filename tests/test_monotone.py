@@ -160,6 +160,75 @@ def test_value_slope_values():
 
 # -- regularization properties -----------------------------------------------
 
+# one ray at each end of a finite domain, an affine and a power piece
+PIECEWISE = from_config({"type": "piecewise", "elements": [
+    {"kind": "vertical", "at": -1.0, "lo": "-inf", "hi": -0.5},
+    {"kind": "affine", "lo": -1.0, "hi": 0.0, "a": 0.0, "b": 0.5},
+    {"kind": "power", "lo": 0.0, "hi": 2.0, "c": 0.3, "e": 1.7},
+    {"kind": "vertical", "at": 2.0, "lo": 0.3 * 2.0 ** 1.7, "hi": "inf"},
+]})
+
+
+@pytest.mark.parametrize("name", [
+    "stefan", "hele_shaw", "obstacle", "power2", "sqrt", "zero", "piecewise"])
+def test_resolvent_slope_matches_central_differences(name):
+    g = PIECEWISE if name == "piecewise" else BUILTINS[name]
+    rng = np.random.default_rng(11)
+    h = 1e-6
+    for mu in (0.1, 1.0, 10.0):
+        s = rng.uniform(-4.0, 4.0, 400)
+        # away from the region corners, where the derivative jumps, and
+        # from s = 0, where a power piece's curvature is unbounded
+        corners = g._regions(mu)
+        corners = corners[np.isfinite(corners)]
+        gap = np.min(np.abs(s[:, None] - corners[None, :]), axis=1,
+                     initial=np.inf)
+        s = s[(gap > 1e-3) & (np.abs(s) > 0.1)]
+        r, d = g.resolvent_slope(mu, s)
+        assert np.array_equal(r, g.resolvent(mu, s))
+        fd = (g.resolvent(mu, s + h) - g.resolvent(mu, s - h)) / (2.0 * h)
+        np.testing.assert_allclose(d, fd, rtol=1e-6, atol=1e-9,
+                                   err_msg="%s at mu=%g" % (name, mu))
+    assert g.resolvent_slope(1.0, 0.5)[1] == pytest.approx(
+        float(g.resolvent_slope(1.0, np.array([0.5]))[1][0]))
+
+
+INTERVAL_GRAPHS = dict(
+    BUILTINS,
+    piecewise=PIECEWISE,
+    stefan_inverse=make_stefan(2.0).inverse(),
+    cube_root=make_power(3.0).inverse(),
+    obstacle_sqrt=make_obstacle(-2.0, 0.7, make_power(0.5)),
+)
+
+
+@pytest.mark.parametrize("name", sorted(INTERVAL_GRAPHS))
+def test_interval_array_form_matches_scalar_form(name):
+    g = INTERVAL_GRAPHS[name]
+    dlo, dhi = g.domain
+    knots = g._corner_r[np.isfinite(g._corner_r)]
+    rng = np.random.default_rng(3)
+    r = np.concatenate([
+        knots, np.nextafter(knots, np.inf), np.nextafter(knots, -np.inf),
+        [dlo, dhi, 0.0], rng.uniform(-3.0, 3.0, 200),
+        rng.uniform(-1e-3, 1e-3, 20),
+    ])
+    r = r[(r >= dlo) & (r <= dhi)]
+    lo, hi = g.interval(r.reshape(-1, 1))
+    assert lo.shape == hi.shape == (r.size, 1)
+    scalar = np.array([g.interval(x) for x in r])
+    assert all(type(v) is float for v in g.interval(r[0]))
+    # numpy's vectorized pow may round a power piece one ulp away from the
+    # scalar pow; everything else agrees exactly
+    for got, want in ((lo[:, 0], scalar[:, 0]), (hi[:, 0], scalar[:, 1])):
+        with np.errstate(invalid="ignore"):
+            close = np.abs(got - want) <= 2.0 * np.spacing(np.abs(want))
+        assert np.all((got == want) | close), r[~((got == want) | close)]
+    if np.isfinite(dhi):
+        with pytest.raises(InvalidParameter):
+            g.interval(np.array([0.0, dhi + 1.0]))
+
+
 @settings(max_examples=120, deadline=None)
 @given(name=GRAPH_NAMES, lam=LAMBDAS, s=POINTS, t=POINTS)
 def test_yosida_is_two_lambda_lipschitz(name, lam, s, t):

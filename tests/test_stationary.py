@@ -1,16 +1,20 @@
 """Tests for the stationary inclusion solver and its reports."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import GRAPH_FAMILY, U_UNIQUE_GRAPHS, forward_instance
+from conftest import GRAPH_FAMILY, U_UNIQUE_GRAPHS, forward_instance, sibling_phi
 from nldiff.errors import NotConnected, RangeInfeasible
 from nldiff.flux import p_laplacian_flux
 from nldiff.monotone import make_hele_shaw, make_identity, make_obstacle, make_stefan
 from nldiff.space import DomainPartition, from_weighted_graph
 from nldiff.stationary import (
+    DEFAULT_TOL,
+    _resolvent_system,
     StationaryProblem,
     check_range,
     contraction_gap,
@@ -75,6 +79,32 @@ def test_obstacle_keeps_state_in_the_interval():
     problem = two_node_problem(gamma=obs, beta=obs, phi=(2.0, -1.5))
     pair = solve_gp(problem, tol=1e-9)
     assert np.all(pair.u >= -0.5 - 1e-12) and np.all(pair.u <= 0.5 + 1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_resolvent_newton_jacobian_matches_finite_differences(seed):
+    problem, _, _ = forward_instance(
+        seed, graph_names=("stefan", "hele_shaw", "obstacle", "power2"),
+        p_choices=(2.0, 3.0), min_nodes=5)
+    op = problem._operator()
+    fj = _resolvent_system(problem, op)
+    u = np.random.default_rng(seed).uniform(-0.8, 0.8, op.rows.size)
+    _, jac = fj(u, True)
+    h = 1e-7
+    fd = np.column_stack([
+        (fj(u + h * e, False)[0] - fj(u - h * e, False)[0]) / (2.0 * h)
+        for e in np.eye(u.size)
+    ])
+    np.testing.assert_allclose(jac, fd, rtol=1e-6, atol=1e-6)
+
+
+def test_schedule_fallback_rescues_a_stalled_resolvent_newton():
+    """Hele-Shaw data on which the resolvent Newton from zero stalls."""
+    problem, _, _ = forward_instance(54)
+    problem = dataclasses.replace(problem, phi=sibling_phi(problem, 10_054))
+    pair = solve_gp(problem)
+    assert pair.schedule_trace
+    assert verify_solution(problem, pair, DEFAULT_TOL).passed
 
 
 def test_solution_is_zero_off_the_partition():
