@@ -458,8 +458,8 @@ def mild_solve(problem, n_steps) -> MildSolution:
     divergence scaling and the forcing folded into the data, so the
     per-step conservation identity telescopes into the mass ledger.  The
     domain is checked and the operator built once per trajectory, the
-    range condition on every step, and each step's solve starts from the
-    previous step's potential.  Raises CompatibilityViolated when the
+    range condition on every step, and each step's resolvent Newton starts
+    from the previous step's potential, for every pair of graphs.  Raises CompatibilityViolated when the
     probe fails up front or a step loses range feasibility, and
     SolverDiverged from the inner solver.
     """

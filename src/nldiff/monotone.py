@@ -13,8 +13,9 @@ are stored explicitly so that constructions (inverses, splits, obstacles)
 stay bit-consistent.
 
 Resolvents and regularized evaluations never subtract nearly equal
-quantities: each element has a closed form, or a monotone bisection whose
-accuracy is independent of the regularization parameter.
+quantities: each element has a closed form, or a bracketed root search
+(bisection, or Newton kept inside a shrinking bracket) whose accuracy is
+independent of the regularization parameter.
 """
 from __future__ import annotations
 
@@ -217,47 +218,6 @@ class MonotoneGraph:
     def range_bounds(self) -> tuple[float, float]:
         return self.range_inf, self.range_sup
 
-    def is_strictly_increasing_surjective(self) -> bool:
-        """True when the graph is a strictly increasing bijection of the line."""
-        if self.domain != (-_INF, _INF):
-            return False
-        if (self.range_inf, self.range_sup) != (-_INF, _INF):
-            return False
-        for el in self.elements:
-            if el.kind == "vertical":
-                return False
-            if el.kind == "affine" and el.q == 0.0:
-                return False
-        return True
-
-    def value_slope(self, r):
-        """Value and one-sided slope for function-like graphs (no jumps)."""
-        r = np.asarray(r, dtype=float)
-        idx = np.clip(
-            np.searchsorted(self._corner_r[1:-1], r, side="right"),
-            0,
-            len(self.elements) - 1,
-        )
-        val = np.empty_like(r)
-        slope = np.empty_like(r)
-        for i, el in enumerate(self.elements):
-            m = idx == i
-            if not np.any(m):
-                continue
-            if el.kind == "vertical":
-                raise InvalidParameter("value_slope needs a function-like graph")
-            rm = r[m]
-            if el.kind == "affine":
-                val[m] = np.clip(el.p + el.q * rm, el.v0, el.v1)
-                slope[m] = el.q
-            else:
-                val[m] = np.clip(
-                    el.p * np.sign(rm) * np.abs(rm) ** el.q, el.v0, el.v1
-                )
-                with np.errstate(divide="ignore", over="ignore"):
-                    slope[m] = el.p * el.q * np.abs(rm) ** (el.q - 1.0)
-        return val, np.minimum(slope, 1e300)
-
     # -- resolvent and regularized evaluation --------------------------------
 
     def _regions(self, mu):
@@ -304,7 +264,7 @@ class MonotoneGraph:
                 if want_slope:
                     slope[m] = 1.0 / (1.0 + mu * el.q)
             else:
-                r = _bisect_resolvent_power(el, mu, sm)
+                r = _resolvent_power(el, mu, sm)
                 out[m] = r
                 if want_slope:
                     with np.errstate(divide="ignore", over="ignore"):
@@ -582,22 +542,46 @@ def _bisect_yosida_power(el: El, mu, s):
     return np.clip(w, el.v0, el.v1)
 
 
-def _bisect_resolvent_power(el: El, mu, s):
+def _resolvent_power(el: El, mu, s):
     """Root of r + mu*piece(r) = s on a power piece.
 
-    Runs the bracket all the way down: an early width-based stop loses
-    value accuracy for exponents below one, where piece(r) amplifies
-    tiny errors in r near the origin.
+    The root is odd in s, so Newton runs on a = |s| inside a bracket that
+    shrinks with the sign of every residual; a step that leaves the bracket
+    is replaced by its midpoint.  The start bracket is tight: the root r
+    has r <= a and mu*c*r**e <= a, and the larger of the two terms is at
+    least a/2.  The power bounds are widened by a factor of two, since
+    x**(1/e) is not the exact inverse of r**e in floating point (e = 0.1
+    is not a tenth).  Newton starts at the end from which it converges
+    monotonically (the upper end for e > 1, where the residual is convex,
+    the lower one for e < 1) and stops once a step is within a few ulp of
+    r, relative to r, so exponents below one keep their accuracy near the
+    origin.
     """
-    lo = np.minimum(np.clip(0.0, el.r0, el.r1), np.clip(s, el.r0, el.r1))
-    hi = np.maximum(np.clip(0.0, el.r0, el.r1), np.clip(s, el.r0, el.r1))
-    for _ in range(110):
-        mid = 0.5 * (lo + hi)
-        h = mid + mu * el.p * np.sign(mid) * np.abs(mid) ** el.q - s
-        take_hi = h > 0
-        hi = np.where(take_hi, mid, hi)
-        lo = np.where(take_hi, lo, mid)
-    return np.clip(0.5 * (lo + hi), el.r0, el.r1)
+    a = np.abs(s)
+    cm = mu * el.p
+    e = el.q
+    with np.errstate(divide="ignore", over="ignore"):
+        lo = 0.5 * np.minimum(0.5 * a, (0.5 * a / cm) ** (1.0 / e))
+        hi = np.minimum(a, 2.0 * (a / cm) ** (1.0 / e))
+    r = hi if e > 1.0 else lo
+    # rounding in the residual moves r by about eps*r/min(1, e)
+    ulps = 4.0 * max(1.0, 1.0 / e)
+    done = np.zeros(a.shape, dtype=bool)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(110):
+            h = r + cm * r ** e - a
+            lo = np.where(h < 0.0, r, lo)
+            hi = np.where(h > 0.0, r, hi)
+            new = r - h / (1.0 + cm * e * r ** (e - 1.0))
+            converged = np.abs(new - r) <= ulps * np.spacing(r)
+            new = np.where(
+                converged | ((new > lo) & (new < hi)), new, 0.5 * (lo + hi)
+            )
+            r = np.where(done, r, new)
+            done |= converged
+            if done.all():
+                break
+    return np.clip(np.copysign(r, s), el.r0, el.r1)
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,15 @@ The problem posed on a node set Omega split into a bulk part and a boundary
 part: find u and v with v in the bulk graph of u on omega1, v in the
 boundary graph of u on omega2, and v - lambda*div u = phi on all of Omega.
 
-Three paths solve it, and each ends in the same recovery of v from the
+Two paths solve it, and both end in the same recovery of v from the
 equation and the same verification of the pair.
 
-* Direct: when both graphs are strictly increasing maps onto the line,
-  damped Newton runs on graph(u) - lambda*div u = phi.
-* Resolvent Newton: for any other graphs.  For mu > 0, v lies in the graph
-  at u exactly when u = J_mu(u + mu*v), with J_mu the graph's resolvent, so
-  semismooth Newton runs on F(u) = u - J_mu(u + mu*(phi + lambda*div u))
-  with the elementwise derivative of J_mu: the primal-dual active-set
-  method, with no regularization parameter.
+* Resolvent Newton: for every pair of graphs.  For mu > 0, v lies in the
+  graph at u exactly when u = J_mu(u + mu*v), with J_mu the graph's
+  resolvent, so semismooth Newton runs on
+  F(u) = u - J_mu(u + mu*(phi + lambda*div u)) with the elementwise
+  derivative of J_mu: the primal-dual active-set method, with no
+  regularization parameter.
 * Fallback: when the resolvent Newton stalls or its pair fails
   verification, the regularization schedule solves regularized problems
   (split graphs replaced by Yosida approximations) at doubling indices and
@@ -173,6 +172,10 @@ def _damped_newton(f_and_jac, u0, tol, total_cap=420):
     re-solved with a growing shift on the diagonal, which keeps the step
     useful when kink slopes make the Jacobian nearly singular (p < 2
     fluxes floor their slope at huge values near zero differences).
+    Once the residual is within ``tol``, one last full Newton step on the
+    Jacobian at hand is kept if it lowers the residual further, so callers
+    that read a quantity off the residual (v from the equation) get it to
+    rounding level rather than to the stopping tolerance.
     Returns (u, residual_inf, iterations); raises SolverDiverged.
     """
     u = np.array(u0, dtype=float)
@@ -183,7 +186,7 @@ def _damped_newton(f_and_jac, u0, tol, total_cap=420):
     eye = np.eye(u.size)
     for it in range(total_cap):
         if res <= tol:
-            return u, res, it
+            return _last_step(f_and_jac, u, f, jac, res) + (it,)
         merit = 0.5 * float(f @ f)
         jac_scale = 1.0 + float(np.max(np.abs(np.diag(jac))))
         accepted = False
@@ -219,6 +222,19 @@ def _damped_newton(f_and_jac, u0, tol, total_cap=420):
     )
 
 
+def _last_step(f_and_jac, u, f, jac, res):
+    """(u, residual_inf) after one full Newton step, if that lowers it."""
+    if res == 0.0:
+        return u, res
+    try:
+        trial = u - np.linalg.solve(jac, f)
+    except np.linalg.LinAlgError:
+        return u, res
+    ft, _ = f_and_jac(trial, False)
+    res_t = float(np.max(np.abs(ft)))
+    return (trial, res_t) if res_t < res else (u, res)
+
+
 # ---------------------------------------------------------------------------
 # approximate (regularized) problem
 # ---------------------------------------------------------------------------
@@ -239,14 +255,6 @@ def default_truncation(problem, n, k):
             for s in (m_bound, -m_bound):
                 level = max(level, abs(split.yosida(lam, s)))
     return 2.0 * level
-
-
-def _jacobian(op, lam, u, graph_slope):
-    """diag(graph_slope) - lam * op.jacobian(u), assembled in place."""
-    jac = op.jacobian(u)
-    jac *= -lam
-    jac[np.diag_indices_from(jac)] += graph_slope
-    return jac
 
 
 def _approx_system(problem, n, k, K):
@@ -283,7 +291,11 @@ def _approx_system(problem, n, k, K):
             return f, None
         base = np.maximum(np.abs(u), 1e-12) ** (p - 2.0)
         pen_slope = (p - 1.0) * base * np.where(u >= 0.0, inv_n, inv_k)
-        return f, _jacobian(op, lam, u, graph_slope + pen_slope)
+        # diag(graph and penalty slopes) - lam * op.jacobian(u), in place
+        jac = op.jacobian(u)
+        jac *= -lam
+        jac[np.diag_indices_from(jac)] += graph_slope + pen_slope
+        return f, jac
 
     return f_and_jac
 
@@ -358,26 +370,7 @@ def _recover_pair(problem, u_sub, op, tol, iterations, trace):
         iterations=iterations,
         schedule_trace=tuple(trace),
     )
-    report = verify_solution(problem, pair, tol)
-    return pair if report.passed else None
-
-
-def _direct_system(problem, op):
-    phi = problem.phi[op.rows]
-    lam = problem.lambda_scale
-    parts = _graph_parts(problem, op.rows)
-
-    def f_and_jac(u, want_jac):
-        val = np.empty_like(u)
-        slope = np.empty_like(u)
-        for g, mask in parts:
-            val[mask], slope[mask] = g.value_slope(u[mask])
-        f = val - lam * op.apply(u) - phi
-        if not want_jac:
-            return f, None
-        return f, _jacobian(op, lam, u, slope)
-
-    return f_and_jac
+    return pair if _verify(problem, pair, tol, op).passed else None
 
 
 def _resolvent_system(problem, op):
@@ -452,8 +445,8 @@ def solve_gp(problem: StationaryProblem, tol: float = DEFAULT_TOL) -> SolutionPa
 
     Raises RangeInfeasible when the data integral is not strictly inside
     the range bounds, NotConnected for a disconnected domain, and
-    SolverDiverged when the direct solve fails verification or the
-    fallback schedule is exhausted.
+    SolverDiverged when neither the resolvent Newton nor the fallback
+    schedule yields a verified pair.
     """
     _check_domain(problem)
     _check_feasible(problem)
@@ -463,22 +456,12 @@ def solve_gp(problem: StationaryProblem, tol: float = DEFAULT_TOL) -> SolutionPa
 def _solve(problem, op, start, tol):
     """Solve a checked problem with its operator ``op``.
 
-    ``start`` is a guess for u over Omega, or None for zero; the direct
-    path always starts at zero.
+    ``start`` is a guess for u over Omega, or None for zero.  The resolvent
+    Newton runs from it; when that stalls or its pair fails verification,
+    the regularization schedule runs and restarts the resolvent Newton
+    from each level's solution.
     """
     omega = op.rows
-    if (
-        problem.gamma.is_strictly_increasing_surjective()
-        and problem.beta.is_strictly_increasing_surjective()
-    ):
-        scale = 1.0 + _phi_inf(problem)
-        fj = _direct_system(problem, op)
-        u_sub, _, its = _damped_newton(fj, np.zeros(omega.size), 1e-12 * scale)
-        pair = _recover_pair(problem, u_sub, op, tol, its, trace=())
-        if pair is None:
-            raise SolverDiverged("direct solve failed verification")
-        return pair
-
     u0 = np.zeros(omega.size) if start is None else start
     pair = _resolvent_newton(problem, op, u0, tol, 0, ())
     if pair is not None:
@@ -538,8 +521,12 @@ def _check_q2_hypothesis(problem):
 
 def verify_solution(problem, pair, tol) -> VerificationReport:
     """Inclusion, equation, and conservation checks for a candidate pair."""
-    part = problem.partition
-    omega = part.omega
+    return _verify(problem, pair, tol, problem._operator())
+
+
+def _verify(problem, pair, tol, op):
+    """``verify_solution`` with the problem's operator ``op`` at hand."""
+    omega = problem.partition.omega
     u = np.asarray(pair.u, float)[omega]
     v = np.asarray(pair.v, float)[omega]
     inclusion = 0.0
@@ -554,7 +541,7 @@ def verify_solution(problem, pair, tol) -> VerificationReport:
         hi = g.interval(np.clip(u_part + d_part, dlo, dhi))[1]
         gap = np.where(v_part > hi, v_part - hi, np.where(v_part < lo, lo - v_part, 0.0))
         inclusion = max(inclusion, float(np.max(gap[~outside], initial=0.0)))
-    div = problem._operator().apply(u)
+    div = op.apply(u)
     eq = float(np.max(np.abs(v - problem.lambda_scale * div - problem.phi[omega])))
     nu = problem.space.nu[omega]
     mass_v = float((nu * v).sum())

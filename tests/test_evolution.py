@@ -19,7 +19,13 @@ from nldiff.evolution import (
     strong_residual,
 )
 from nldiff.flux import p_laplacian_flux
-from nldiff.monotone import make_hele_shaw, make_identity, make_obstacle, make_stefan
+from nldiff.monotone import (
+    make_hele_shaw,
+    make_identity,
+    make_obstacle,
+    make_power,
+    make_stefan,
+)
 from nldiff.oracle import DenseInstance, linear_evolution_oracle, schur_dtn_oracle
 from nldiff.space import (
     DomainPartition,
@@ -382,6 +388,7 @@ GRID_LAWS = {
     "stefan": (lambda: make_stefan(1.0), (-1.0, 2.0)),
     "hele_shaw": (make_hele_shaw, (-0.5, 1.5)),
     "obstacle": (lambda: make_obstacle(-1.0, 1.0, make_identity()), (-2.0, 2.0)),
+    "power2": (lambda: make_power(2.0), (-1.0, 1.0)),
 }
 
 
@@ -427,7 +434,9 @@ def step_pairs(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("law, steps", [("stefan", 4), ("hele_shaw", 8)])
+@pytest.mark.parametrize(
+    "law, steps", [("stefan", 4), ("hele_shaw", 8), ("power2", 8)]
+)
 def test_free_boundary_grid_steps_take_no_schedule_level(step_pairs, law, steps):
     for seed in range(6):
         mild_solve(grid_problem(seed, law), steps)

@@ -70,7 +70,6 @@ def test_negative_slope_rejected():
 
 
 def test_from_config_builtins_and_ext_parsing():
-    assert from_config({"type": "identity"}).is_strictly_increasing_surjective()
     assert from_config({"type": "stefan", "latent": 2.0}).jumps[0.0] == (0.0, 2.0)
     assert from_config({"type": "power", "exponent": 3.0}).interval(2.0) == (8.0, 8.0)
     obs = from_config({"type": "obstacle", "lo": -1, "hi": 1,
@@ -116,15 +115,6 @@ def test_range_bounds():
     assert BUILTINS["obstacle"].range_bounds() == (-math.inf, math.inf)
 
 
-def test_surjectivity_predicate():
-    assert BUILTINS["identity"].is_strictly_increasing_surjective()
-    assert BUILTINS["power2"].is_strictly_increasing_surjective()
-    assert not BUILTINS["zero"].is_strictly_increasing_surjective()
-    assert not BUILTINS["stefan"].is_strictly_increasing_surjective()
-    assert not BUILTINS["hele_shaw"].is_strictly_increasing_surjective()
-    assert not BUILTINS["obstacle"].is_strictly_increasing_surjective()
-
-
 def test_identity_resolvent_and_yosida_closed_form():
     g = BUILTINS["identity"]
     assert g.resolvent(0.5, 3.0) == pytest.approx(2.0)
@@ -147,15 +137,6 @@ def test_hele_shaw_yosida_saturates():
     assert g.yosida(4.0, 0.1) == pytest.approx(0.4)
     assert g.yosida(4.0, 0.5) == pytest.approx(1.0)
     assert g.yosida(4.0, 50.0) == pytest.approx(1.0)
-
-
-def test_value_slope_values():
-    val, slope = BUILTINS["power2"].value_slope(np.array([-2.0, 3.0]))
-    assert np.allclose(val, [-4.0, 9.0])
-    assert np.allclose(slope, [4.0, 6.0])
-    # jump knots resolve one-sidedly from the right
-    val, _ = BUILTINS["stefan"].value_slope(np.array([0.0, 0.5]))
-    assert np.allclose(val, [1.0, 1.5])
 
 
 # -- regularization properties -----------------------------------------------
@@ -191,6 +172,32 @@ def test_resolvent_slope_matches_central_differences(name):
                                    err_msg="%s at mu=%g" % (name, mu))
     assert g.resolvent_slope(1.0, 0.5)[1] == pytest.approx(
         float(g.resolvent_slope(1.0, np.array([0.5]))[1][0]))
+
+
+def _bisect_power_resolvent(e, mu, s):
+    """Root of r + mu*sign(r)*|r|**e = s by 110 plain bisection steps."""
+    lo, hi = np.minimum(0.0, s), np.maximum(0.0, s)
+    for _ in range(110):
+        mid = 0.5 * (lo + hi)
+        above = mid + mu * np.sign(mid) * np.abs(mid) ** e > s
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("e", [0.5, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("mu", [1e-3, 1.0, 1e3])
+def test_power_resolvent_is_accurate_to_a_few_ulp(e, mu):
+    # 10**-12 with e = 0.5 and mu = 1e3 puts the root near 1e-30, where a
+    # bracket stopped early loses the root's relative accuracy
+    mag = 10.0 ** np.arange(-12, 9)
+    s = np.concatenate([-mag, [0.0], mag])
+    r = make_power(e).resolvent(mu, s)
+    ulps = 4.0
+    back = r + mu * np.sign(r) * np.abs(r) ** e
+    assert np.all(np.abs(back - s) <= ulps * np.spacing(np.abs(s)))
+    ref = _bisect_power_resolvent(e, mu, s)
+    assert np.all(np.abs(r - ref) <= ulps * np.spacing(np.abs(ref)))
 
 
 INTERVAL_GRAPHS = dict(

@@ -107,6 +107,23 @@ def test_schedule_fallback_rescues_a_stalled_resolvent_newton():
     assert verify_solution(problem, pair, DEFAULT_TOL).passed
 
 
+def test_defect_a_solves_and_recovers_the_planted_u():
+    """Two laws strictly increasing onto the line, p = 5, lambda = 1e4.
+
+    The direct Newton path, now deleted, stopped at 1e-12*(1 + max|phi|)
+    and left that residual in v = phi + lambda*div u, which failed the
+    inclusion check, so the solve raised SolverDiverged.
+    """
+    problem, u_star, _ = forward_instance(
+        1002, max_nodes=12, p_choices=(5.0,), lambda_scale=1e4
+    )
+    pair = solve_gp(problem)
+    assert verify_solution(problem, pair, DEFAULT_TOL).passed
+    omega = problem.partition.omega
+    bound = 1e-9 * (1.0 + np.max(np.abs(u_star[omega])))
+    assert np.max(np.abs(pair.u[omega] - u_star[omega])) <= bound
+
+
 def test_solution_is_zero_off_the_partition():
     space = from_weighted_graph(np.ones((4, 4)) - np.eye(4))
     problem = StationaryProblem(
