@@ -78,7 +78,7 @@ class CompatibilityViolated(NldiffError):
 # ---- numerics ----------------------------------------------------------------
 
 class SolverDiverged(NldiffError):
-    """Newton and its fallback both failed to reach the residual target."""
+    """A Newton solve stalled, or its result failed verification."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)

@@ -281,6 +281,14 @@ class StrongResidualReport:
 # resolvents
 # ---------------------------------------------------------------------------
 
+def _step_problem(problem, beta, phi, lam):
+    """The stationary problem of one implicit step of size ``lam``."""
+    return StationaryProblem(
+        space=problem.space, partition=problem.partition, flux=problem.flux,
+        gamma=problem.gamma, beta=beta, phi=phi, lambda_scale=lam,
+    )
+
+
 def resolvent_dynamical(problem, lam, psi) -> SolutionPair:
     """Solve v - lam * div u = psi with the problem's graphs on both parts.
 
@@ -290,17 +298,7 @@ def resolvent_dynamical(problem, lam, psi) -> SolutionPair:
     lam = float(lam)
     if not lam > 0:
         raise InvalidParameter("lam must be positive")
-    stat = StationaryProblem(
-        space=problem.space,
-        partition=problem.partition,
-        flux=problem.flux,
-        gamma=problem.gamma,
-        beta=problem.beta,
-        phi=psi,
-        integration_set="Q1",
-        lambda_scale=lam,
-    )
-    return solve_gp(stat)
+    return solve_gp(_step_problem(problem, problem.beta, psi, lam))
 
 
 def resolvent_static_boundary(problem, lam, psi):
@@ -321,17 +319,7 @@ def resolvent_static_boundary(problem, lam, psi):
         raise InvalidParameter("psi must be a finite length-%d vector" % o1.size)
     phi = np.zeros(problem.space.node_count)
     phi[o1] = psi
-    stat = StationaryProblem(
-        space=problem.space,
-        partition=problem.partition,
-        flux=problem.flux,
-        gamma=problem.gamma,
-        beta=problem.beta.scale_values(lam),
-        phi=phi,
-        integration_set="Q1",
-        lambda_scale=lam,
-    )
-    pair = solve_gp(stat)
+    pair = solve_gp(_step_problem(problem, problem.beta.scale_values(lam), phi, lam))
     return pair.v[o1], pair.u, pair.v[o2] / lam
 
 
@@ -459,9 +447,9 @@ def mild_solve(problem, n_steps) -> MildSolution:
     per-step conservation identity telescopes into the mass ledger.  The
     domain is checked and the operator built once per trajectory, the
     range condition on every step, and each step's resolvent Newton starts
-    from the previous step's potential, for every pair of graphs.  Raises CompatibilityViolated when the
-    probe fails up front or a step loses range feasibility, and
-    SolverDiverged from the inner solver.
+    from the previous step's potential, for every pair of graphs.  Raises
+    CompatibilityViolated when the probe fails up front or a step loses
+    range feasibility, and SolverDiverged from the inner solver.
     """
     n = int(n_steps)
     if n != n_steps or n < 1:
@@ -512,16 +500,7 @@ def mild_solve(problem, n_steps) -> MildSolution:
         if dynamical:
             forcing[o2] = _source_average(gk, gp, t0, t1, o2.size, "g")
         psi = state + tau * forcing
-        stat = StationaryProblem(
-            space=space,
-            partition=problem.partition,
-            flux=problem.flux,
-            gamma=problem.gamma,
-            beta=problem.beta if dynamical else beta_tau,
-            phi=psi,
-            integration_set="Q1",
-            lambda_scale=tau,
-        )
+        stat = _step_problem(problem, problem.beta if dynamical else beta_tau, psi, tau)
         if op is None:
             _check_domain(stat)
             op = stat._operator()

@@ -200,8 +200,11 @@ class NonlocalOperator:
 
     def apply(self, u):
         """The operator at every row node, for u indexed over ``nodes``."""
-        vals = self.flux.evaluate(self._x, self._y, self._differences(u))
-        return (self.kernel * vals).sum(axis=1)
+        return self._terms(u).sum(axis=1)
+
+    def _terms(self, u):
+        """The kernel-weighted flux values that ``apply`` sums along rows."""
+        return self.kernel * self.flux.evaluate(self._x, self._y, self._differences(u))
 
     def jacobian(self, u):
         """Derivative of ``apply`` with respect to u at the row nodes.

@@ -13,9 +13,10 @@ are stored explicitly so that constructions (inverses, splits, obstacles)
 stay bit-consistent.
 
 Resolvents and regularized evaluations never subtract nearly equal
-quantities: each element has a closed form, or a bracketed root search
-(bisection, or Newton kept inside a shrinking bracket) whose accuracy is
-independent of the regularization parameter.
+quantities: each element has a closed form, or a root search (Newton kept
+inside a shrinking bracket) whose accuracy is independent of the
+regularization parameter.  A power piece's regularized value is the piece
+at its resolvent point.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameter, NumericalFailure
+from .errors import InvalidParameter
 
 _INF = float("inf")
 
@@ -311,10 +312,10 @@ class MonotoneGraph:
                 if want_slope:
                     slope[m] = el.q / (1.0 + mu * el.q)
             else:
-                w = _bisect_yosida_power(el, mu, sm)
-                out[m] = w
+                # the value at the resolvent point J_mu(s), mu = 1/lam
+                r = _resolvent_power(el, mu, sm)
+                out[m] = _piece_values(el, r)
                 if want_slope:
-                    r = sm - mu * w
                     with np.errstate(divide="ignore", over="ignore"):
                         t = el.p * el.q * np.abs(r) ** (el.q - 1.0)
                     slope[m] = np.where(t > 1e300, lam, t / (1.0 + mu * t))
@@ -511,35 +512,6 @@ def _piece_integral(el: El, a, b) -> float:
         return el.p * (b - a) + 0.5 * el.q * (b * b - a * a)
     ep1 = el.q + 1.0
     return el.p * (abs(b) ** ep1 - abs(a) ** ep1) / ep1
-
-
-def _bisect_yosida_power(el: El, mu, s):
-    """Root of w = piece(s - mu*w) on a power piece, to absolute precision."""
-    r_near = np.clip(0.0, el.r0, el.r1)
-    r_far = np.clip(s, el.r0, el.r1)
-    wa = el.p * np.sign(r_near) * np.abs(r_near) ** el.q
-    wb = el.p * np.sign(r_far) * np.abs(r_far) ** el.q
-    # the root lies in the value-side bracket and in the resolvent-side
-    # bracket; their intersection is never much wider than the root itself
-    ra = (s - r_near) / mu
-    rb = (s - r_far) / mu
-    lo = np.maximum(np.minimum(wa, wb), np.minimum(ra, rb))
-    hi = np.minimum(np.maximum(wa, wb), np.maximum(ra, rb))
-    for _ in range(110):
-        mid = 0.5 * (lo + hi)
-        r = s - mu * mid
-        h = mid - el.p * np.sign(r) * np.abs(r) ** el.q
-        take_hi = h > 0
-        hi = np.where(take_hi, mid, hi)
-        lo = np.where(take_hi, lo, mid)
-    w = 0.5 * (lo + hi)
-    for _ in range(3):
-        r = s - mu * w
-        with np.errstate(divide="ignore", over="ignore"):
-            t = np.minimum(el.p * el.q * np.abs(r) ** (el.q - 1.0), 1e300)
-        h = w - el.p * np.sign(r) * np.abs(r) ** el.q
-        w = np.clip(w - h / (1.0 + mu * t), lo, hi)
-    return np.clip(w, el.v0, el.v1)
 
 
 def _resolvent_power(el: El, mu, s):

@@ -4,19 +4,16 @@ The problem posed on a node set Omega split into a bulk part and a boundary
 part: find u and v with v in the bulk graph of u on omega1, v in the
 boundary graph of u on omega2, and v - lambda*div u = phi on all of Omega.
 
-Two paths solve it, and both end in the same recovery of v from the
-equation and the same verification of the pair.
-
-* Resolvent Newton: for every pair of graphs.  For mu > 0, v lies in the
-  graph at u exactly when u = J_mu(u + mu*v), with J_mu the graph's
-  resolvent, so semismooth Newton runs on
-  F(u) = u - J_mu(u + mu*(phi + lambda*div u)) with the elementwise
-  derivative of J_mu: the primal-dual active-set method, with no
-  regularization parameter.
-* Fallback: when the resolvent Newton stalls or its pair fails
-  verification, the regularization schedule solves regularized problems
-  (split graphs replaced by Yosida approximations) at doubling indices and
-  restarts the resolvent Newton from each level's solution.
+One path solves it: for mu > 0, v lies in the graph at u exactly when
+u = J_mu(u + mu*v), with J_mu the graph's resolvent, so semismooth Newton
+runs on F(u) = u - J_mu(u + mu*(phi + lambda*div u)) with the elementwise
+derivative of J_mu (the primal-dual active-set method), at the step
+mu = min(1, 1/lambda).  v is then recovered from the equation and the pair
+verified.  When every node sits on a flat piece of its graph, the Newton
+matrix is singular along constants and Newton cannot place them, so a
+Newton that stalls or fails verification restarts once from the point it
+reached, shifted by the constant that balances the data's mass against
+the graphs' values.
 """
 from __future__ import annotations
 
@@ -40,8 +37,6 @@ from .space import (
 )
 
 DEFAULT_TOL = 1e-9
-MAX_SCHEDULE_LEVEL = 40
-RESOLVENT_MU = 1.0
 RANGE_EPS_BASE = 1e-10
 
 
@@ -104,6 +99,9 @@ class StationaryProblem:
 
 @dataclass(frozen=True)
 class SolutionPair:
+    """A verified solution.  ``schedule_trace`` is always (); it stays for
+    the readers of the CLI report."""
+
     u: np.ndarray
     v: np.ndarray
     residual_inf: float
@@ -300,7 +298,7 @@ def _approx_system(problem, n, k, K):
     return f_and_jac
 
 
-def solve_approximate(problem, n, k, K=None, start=None):
+def solve_approximate(problem, n, k, K=None):
     """Solve the index-(n, k) regularized system; returns the u vector.
 
     The equation at each node adds the regularized split graphs (plus part
@@ -313,10 +311,9 @@ def solve_approximate(problem, n, k, K=None, start=None):
     if K is None:
         K = default_truncation(problem, n, k)
     omega = problem.partition.omega
-    u0 = np.zeros(omega.size) if start is None else np.asarray(start, float)[omega]
     tol = 1e-11 * (1.0 + _phi_inf(problem))
     fj = _approx_system(problem, n, k, K)
-    u, _, _ = _damped_newton(fj, u0, tol)
+    u, _, _ = _damped_newton(fj, np.zeros(omega.size), tol)
     full = np.zeros(problem.space.node_count)
     full[omega] = u
     return full
@@ -342,46 +339,67 @@ def _clamp_near(v, lo, hi, gap_tol):
     return np.where((v > hi) & (v - hi <= gap_tol), hi, v)
 
 
-def _recover_pair(problem, u_sub, op, tol, iterations, trace):
-    """Equation-exact v with within-tolerance clamping, then verification."""
+def _equation_terms(problem, op, u):
+    """(lam*div u, 1 + |phi| + lam*sum_j m*|a(u_j - u_i)|) at the row nodes.
+
+    The second vector is the size of the equation's terms at each node,
+    the scale of the rounding in any residual formed from them.
+    """
+    terms = op._terms(u)
+    lam = problem.lambda_scale
+    size = 1.0 + np.abs(problem.phi[op.rows]) + lam * np.abs(terms).sum(axis=1)
+    return lam * terms.sum(axis=1), size
+
+
+def _values_near(g, u, delta):
+    """Bounds of the graph's values over [u - delta, u + delta] in its domain."""
+    lo, hi = g.interval(np.clip(np.stack([u - delta, u + delta]), *g.domain))
+    return lo[0], hi[1]
+
+
+def _recover_pair(problem, u_sub, op, tol, iterations):
+    """Equation-exact v with within-tolerance clamping, then verification.
+
+    v is clamped onto the values verification accepts at u, the graph's
+    over u +- tol*(1 + |u|), where it misses them by at most tol times the
+    size of the equation's terms at the node, its rounding scale.  Raises
+    SolverDiverged when the pair fails verification.
+    """
     omega = op.rows
-    div = op.apply(u_sub)
-    v = problem.phi[omega] + problem.lambda_scale * div
-    gap_tol = tol * (1.0 + np.abs(v))
+    lam_div, size = _equation_terms(problem, op, u_sub)
+    v = problem.phi[omega] + lam_div
+    gap_tol = tol * (size + np.abs(v))
+    delta = tol * (1.0 + np.abs(u_sub))
     for g, mask in _graph_parts(problem, omega):
-        dlo, dhi = g.domain
-        u_part = u_sub[mask]
-        if np.any(u_part < dlo) or np.any(u_part > dhi):
-            return None
-        lo, hi = g.interval(u_part)
-        v_part = _clamp_near(v[mask], lo, hi, gap_tol[mask])
-        v[mask] = _clamp_near(v_part, g.range_inf, g.range_sup, gap_tol[mask])
+        lo, hi = _values_near(g, u_sub[mask], delta[mask])
+        v[mask] = _clamp_near(v[mask], lo, hi, gap_tol[mask])
     u_full = np.zeros(problem.space.node_count)
     v_full = np.zeros(problem.space.node_count)
     u_full[omega] = u_sub
     v_full[omega] = v
-    eq_res = float(
-        np.max(np.abs(v - problem.lambda_scale * div - problem.phi[omega]))
-    )
+    eq_res = float(np.max(np.abs(v - lam_div - problem.phi[omega])))
     pair = SolutionPair(
         u=u_full,
         v=v_full,
         residual_inf=eq_res,
         iterations=iterations,
-        schedule_trace=tuple(trace),
     )
-    return pair if _verify(problem, pair, tol, op).passed else None
+    report = _verify(problem, pair, tol, op)
+    if not report.passed:
+        raise SolverDiverged(
+            "resolvent Newton pair fails verification: " + "; ".join(report.failures)
+        )
+    return pair
 
 
-def _resolvent_system(problem, op):
+def _resolvent_system(problem, op, mu):
     """Residual/Jacobian closure for F(u) = u - J(u + mu*(phi + lam*div u)).
 
-    J applies each node's graph resolvent at RESOLVENT_MU, and D is its
+    J applies each node's graph resolvent at step mu, and D is its
     derivative, so the Jacobian is I - D*(I + mu*lam*op.jacobian(u)).
     """
     phi = problem.phi[op.rows]
     lam = problem.lambda_scale
-    mu = RESOLVENT_MU
     parts = _graph_parts(problem, op.rows)
 
     def f_and_jac(u, want_jac):
@@ -404,21 +422,78 @@ def _resolvent_system(problem, op):
     return f_and_jac
 
 
-def _resolvent_newton(problem, op, start, tol, iterations, trace):
-    """Verified pair from the resolvent Newton at ``start``, or None."""
-    fj = _resolvent_system(problem, op)
-    scale = 1.0 + _phi_inf(problem)
-    try:
-        u, _, its = _damped_newton(fj, start, 1e-12 * scale)
-    except SolverDiverged:
-        return None
+def _resolvent_newton(problem, op, start, tol, reached):
+    """Verified pair from the resolvent Newton at ``start``.
+
+    The step is mu = min(1, 1/lambda).  Off the graphs' jumps F is mu
+    times the equation's residual, so Newton stops at 1e-12*mu times the
+    largest size of the equation's terms at ``start``.  ``reached[0]`` is
+    set to each point Newton moves to.  Raises SolverDiverged when Newton
+    stalls or its pair fails verification.
+    """
+    mu = min(1.0, 1.0 / problem.lambda_scale)
+    _, size = _equation_terms(problem, op, start)
+    fj = _resolvent_system(problem, op, mu)
+
+    def f_and_jac(u, want_jac):
+        # Newton takes the Jacobian at each point it moves to, and only there
+        if want_jac:
+            reached[0] = u
+        return fj(u, want_jac)
+
+    u, _, its = _damped_newton(f_and_jac, start, 1e-12 * mu * float(np.max(size)))
     # u is within the stopping tolerance of the resolvent image, which lies
     # in the graph's domain; clip it there instead of moving u onto the
     # image, which can shift v = phi + lam*div u by far more than the
     # tolerance when p < 2 and neighbouring values nearly agree
     for g, mask in _graph_parts(problem, op.rows):
         u[mask] = np.clip(u[mask], *g.domain)
-    return _recover_pair(problem, u, op, tol, iterations + its, trace)
+    return _recover_pair(problem, u, op, tol, its)
+
+
+def _mass_balanced(problem, op, u):
+    """u + c, with c a constant at which the graphs' values hold the data's mass.
+
+    Adding a constant leaves div u unchanged, so along constants the
+    problem's convex energy changes only by sum nu*(j(u + c) - phi*c), with
+    j the graphs' primitives, and it is least where sum nu*phi lies in
+    sum nu*graph(u + c).  When every node sits on a flat piece of its graph,
+    the resolvent Newton matrix is singular along constants and Newton drifts
+    along them instead of bringing a node onto a jump.  c is bracketed by
+    doubling and found by bisection; u comes back unchanged without a
+    bracket.
+    """
+    nu = op.nu
+    mass = float(nu @ problem.phi[op.rows])
+    parts = _graph_parts(problem, op.rows)
+
+    def excess(c):
+        # how far the nu-weighted graph values at u + c miss the mass
+        lo = hi = 0.0
+        for g, mask in parts:
+            a, b = g.interval(np.clip(u[mask] + c, *g.domain))
+            lo += float(nu[mask] @ a)
+            hi += float(nu[mask] @ b)
+        return max(lo - mass, 0.0) + min(hi - mass, 0.0)
+
+    below = -1.0 - float(np.max(np.abs(u), initial=0.0))
+    above = -below
+    for _ in range(64):
+        if excess(below) <= 0.0 <= excess(above):
+            break
+        below, above = 2.0 * below, 2.0 * above
+    else:
+        return u
+    for _ in range(200):
+        c = 0.5 * (below + above)
+        gap = excess(c)
+        if gap == 0.0 or c in (below, above):
+            break
+        if gap < 0.0:
+            below = c
+        else:
+            above = c
+    return u + c
 
 
 def _check_domain(problem):
@@ -445,8 +520,8 @@ def solve_gp(problem: StationaryProblem, tol: float = DEFAULT_TOL) -> SolutionPa
 
     Raises RangeInfeasible when the data integral is not strictly inside
     the range bounds, NotConnected for a disconnected domain, and
-    SolverDiverged when neither the resolvent Newton nor the fallback
-    schedule yields a verified pair.
+    SolverDiverged when the resolvent Newton, from zero and once more from
+    the mass-balanced point it reached, yields no verified pair.
     """
     _check_domain(problem)
     _check_feasible(problem)
@@ -457,47 +532,18 @@ def _solve(problem, op, start, tol):
     """Solve a checked problem with its operator ``op``.
 
     ``start`` is a guess for u over Omega, or None for zero.  The resolvent
-    Newton runs from it; when that stalls or its pair fails verification,
-    the regularization schedule runs and restarts the resolvent Newton
-    from each level's solution.
+    Newton runs from it at the step mu = min(1, 1/lambda).  When that
+    stalls or its pair fails verification, it runs once more from the
+    point it reached, shifted onto the data's mass by ``_mass_balanced``,
+    and the second failure raises SolverDiverged.
     """
-    omega = op.rows
-    u0 = np.zeros(omega.size) if start is None else start
-    pair = _resolvent_newton(problem, op, u0, tol, 0, ())
-    if pair is not None:
-        return pair
-
-    u_prev = None
-    u_start = None
-    trace = []
-    iterations = 0
-    for level in range(MAX_SCHEDULE_LEVEL + 1):
-        nk = 2 ** level
-        try:
-            u_full = solve_approximate(problem, nk, nk, start=u_start)
-        except SolverDiverged:
-            u_start = None
-            continue
-        u_sub = u_full[omega]
-        u_start = u_full
-        change = (
-            float(np.max(np.abs(u_sub - u_prev))) if u_prev is not None
-            else float("inf")
-        )
-        trace.append((nk, nk, change))
-        iterations += 1
-        pair = _resolvent_newton(problem, op, u_sub, tol, iterations, trace)
-        if pair is not None:
-            return pair
-        if u_prev is not None and change <= tol * (1.0 + np.max(np.abs(u_sub))):
-            pair = _recover_pair(problem, u_sub, op, tol, iterations, trace)
-            if pair is not None:
-                return pair
-        u_prev = u_sub
-    raise SolverDiverged(
-        "index schedule exhausted without a verified solution; last change %g"
-        % (trace[-1][2] if trace else float("nan"))
-    )
+    u0 = np.zeros(op.rows.size) if start is None else start
+    reached = [u0]
+    try:
+        return _resolvent_newton(problem, op, u0, tol, reached)
+    except SolverDiverged:
+        restart = _mass_balanced(problem, op, reached[0])
+    return _resolvent_newton(problem, op, restart, tol, reached)
 
 
 def _check_q2_hypothesis(problem):
@@ -537,8 +583,7 @@ def _verify(problem, pair, tol, op):
         outside = (u_part < dlo - d_part) | (u_part > dhi + d_part)
         if np.any(outside):
             inclusion = float("inf")
-        lo = g.interval(np.clip(u_part - d_part, dlo, dhi))[0]
-        hi = g.interval(np.clip(u_part + d_part, dlo, dhi))[1]
+        lo, hi = _values_near(g, u_part, d_part)
         gap = np.where(v_part > hi, v_part - hi, np.where(v_part < lo, lo - v_part, 0.0))
         inclusion = max(inclusion, float(np.max(gap[~outside], initial=0.0)))
     div = op.apply(u)

@@ -126,6 +126,29 @@ def forward_instance(seed, max_nodes=20, graph_names=None, p_choices=P_CHOICES,
     return problem, u_star, v_star
 
 
+def scaled_instance(seed, scale, p, lambda_scale, max_nodes=12):
+    """``forward_instance`` with its target scaled by ``scale``, rebuilt forward.
+
+    u = clip(scale*u*, domain); v = scale*v* where that lies strictly
+    inside the graph's interval at u, else v* moved onto that interval,
+    which keeps the anchors of bounded-range parts strictly interior;
+    phi = v - lambda*div u.  Returns (problem, u, v).
+    """
+    problem, u_star, v_star = forward_instance(
+        seed, max_nodes=max_nodes, p_choices=(p,), lambda_scale=lambda_scale
+    )
+    part = problem.partition
+    u = np.zeros_like(u_star)
+    v = np.zeros_like(v_star)
+    for nodes, g in ((part.omega1, problem.gamma), (part.omega2, problem.beta)):
+        u[nodes] = np.clip(scale * u_star[nodes], *g.domain)
+        lo, hi = g.interval(u[nodes])
+        sv = scale * v_star[nodes]
+        v[nodes] = np.where((lo < sv) & (sv < hi), sv, np.clip(v_star[nodes], lo, hi))
+    phi = phi_for_target(problem.space, part, problem.flux, u, v, lambda_scale)
+    return dataclasses.replace(problem, phi=phi), u, v
+
+
 def sibling_phi(problem, seed):
     """Second feasible data vector on the same problem, independent target."""
     rng = np.random.default_rng(seed)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_space
-from nldiff import evolution, stationary
+from nldiff import evolution
 from nldiff.errors import CompatibilityViolated, InvalidParameter
 from nldiff.evolution import (
     EvolutionProblem,
@@ -438,15 +438,19 @@ def step_pairs(monkeypatch):
     "law, steps", [("stefan", 4), ("hele_shaw", 8), ("power2", 8)]
 )
 def test_free_boundary_grid_steps_take_no_schedule_level(step_pairs, law, steps):
+    """Every warm-started step of the free-boundary grid trajectories
+    verifies.  The name is from when a step could fall back to the
+    regularization schedule, now deleted; these steps never did."""
     for seed in range(6):
         mild_solve(grid_problem(seed, law), steps)
     assert len(step_pairs) == 6 * steps
-    assert [pair.schedule_trace for _, pair in step_pairs] == [()] * (6 * steps)
+    for problem, pair in step_pairs:
+        assert verify_solution(problem, pair, DEFAULT_TOL).passed
 
 
 def test_obstacle_grid_trajectories_verify_every_step(step_pairs):
-    """Seed 3 is a feasible trajectory on which the regularization schedule
-    alone ran all 41 levels (44 s) and then raised SolverDiverged."""
+    """Seed 3 is a feasible trajectory on which the regularization schedule,
+    since deleted, ran all 41 levels (44 s) and then raised SolverDiverged."""
     for seed in range(8):
         start = time.perf_counter()
         sol = mild_solve(grid_problem(seed, "obstacle"), 8)
@@ -454,24 +458,4 @@ def test_obstacle_grid_trajectories_verify_every_step(step_pairs):
         assert np.all(np.abs(sol.u[:, RING.omega]) <= 1.0)
     assert len(step_pairs) == 64
     for problem, pair in step_pairs:
-        assert verify_solution(problem, pair, DEFAULT_TOL).passed
-
-
-def test_fallback_schedule_solves_obstacle_grid_steps(step_pairs, monkeypatch):
-    """Every step forced through the schedule by failing the first Newton."""
-    newton = stationary._resolvent_newton
-
-    def fail_first(problem, op, start, tol, iterations, trace):
-        if not trace:
-            return None
-        return newton(problem, op, start, tol, iterations, trace)
-
-    monkeypatch.setattr(stationary, "_resolvent_newton", fail_first)
-    for seed in range(3):
-        start = time.perf_counter()
-        mild_solve(grid_problem(seed, "obstacle"), 8)
-        assert time.perf_counter() - start < 30.0, "seed %d too slow" % seed
-    assert len(step_pairs) == 24
-    for problem, pair in step_pairs:
-        assert pair.schedule_trace
         assert verify_solution(problem, pair, DEFAULT_TOL).passed

@@ -200,6 +200,20 @@ def test_power_resolvent_is_accurate_to_a_few_ulp(e, mu):
     assert np.all(np.abs(r - ref) <= ulps * np.spacing(np.abs(ref)))
 
 
+@pytest.mark.parametrize("e", [0.5, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("lam", [1e-3, 1.0, 1e3])
+def test_power_yosida_is_accurate_to_a_few_ulp(e, lam):
+    # the value is the piece at the resolvent point, so the root's relative
+    # error is multiplied by the exponent
+    mag = 10.0 ** np.arange(-12, 9)
+    s = np.concatenate([-mag, [0.0], mag])
+    w = make_power(e).yosida(lam, s)
+    r = _bisect_power_resolvent(e, 1.0 / lam, s)
+    ref = np.sign(r) * np.abs(r) ** e
+    ulps = 4.0 * max(1.0, e)
+    assert np.all(np.abs(w - ref) <= ulps * np.spacing(np.abs(ref)))
+
+
 INTERVAL_GRAPHS = dict(
     BUILTINS,
     piecewise=PIECEWISE,

@@ -7,8 +7,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import GRAPH_FAMILY, U_UNIQUE_GRAPHS, forward_instance, sibling_phi
-from nldiff.errors import NotConnected, RangeInfeasible
+from conftest import (
+    U_UNIQUE_GRAPHS,
+    evolution_instance,
+    forward_instance,
+    scaled_instance,
+    sibling_phi,
+)
+from nldiff import stationary
+from nldiff.errors import NotConnected, RangeInfeasible, SolverDiverged
+from nldiff.evolution import mild_solve
 from nldiff.flux import p_laplacian_flux
 from nldiff.monotone import make_hele_shaw, make_identity, make_obstacle, make_stefan
 from nldiff.space import DomainPartition, from_weighted_graph
@@ -87,7 +95,7 @@ def test_resolvent_newton_jacobian_matches_finite_differences(seed):
         seed, graph_names=("stefan", "hele_shaw", "obstacle", "power2"),
         p_choices=(2.0, 3.0), min_nodes=5)
     op = problem._operator()
-    fj = _resolvent_system(problem, op)
+    fj = _resolvent_system(problem, op, 1.0)
     u = np.random.default_rng(seed).uniform(-0.8, 0.8, op.rows.size)
     _, jac = fj(u, True)
     h = 1e-7
@@ -98,13 +106,61 @@ def test_resolvent_newton_jacobian_matches_finite_differences(seed):
     np.testing.assert_allclose(jac, fd, rtol=1e-6, atol=1e-6)
 
 
-def test_schedule_fallback_rescues_a_stalled_resolvent_newton():
-    """Hele-Shaw data on which the resolvent Newton from zero stalls."""
+def test_stalled_resolvent_newton_restarts_from_the_mass_balanced_point(monkeypatch):
+    """Hele-Shaw data on which the resolvent Newton stalls from zero, and
+    from some of 200 random starts; the restart solves every one of them."""
     problem, _, _ = forward_instance(54)
     problem = dataclasses.replace(problem, phi=sibling_phi(problem, 10_054))
-    pair = solve_gp(problem)
-    assert pair.schedule_trace
+    op = problem._operator()
+    restarts = []
+    mass_balanced = stationary._mass_balanced
+
+    def recording(*args):
+        restarts.append(args)
+        return mass_balanced(*args)
+
+    monkeypatch.setattr(stationary, "_mass_balanced", recording)
+    pair = stationary._solve(problem, op, None, DEFAULT_TOL)
+    assert len(restarts) == 1
     assert verify_solution(problem, pair, DEFAULT_TOL).passed
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        start = rng.uniform(-3.0, 3.0, op.rows.size)
+        pair = stationary._solve(problem, op, start, DEFAULT_TOL)
+        assert verify_solution(problem, pair, DEFAULT_TOL).passed
+
+
+@pytest.mark.parametrize("scale, p, seed", [
+    (1.0, 1.5, 2006), (1.0, 3.0, 2006), (1.0, 5.0, 2005), (1.0, 5.0, 2006),
+    (1e-3, 1.5, 2005),
+])
+def test_newton_drifting_along_constants_restarts_onto_the_mass(scale, p, seed):
+    """Hele-Shaw bulk, lambda = 1e4: from zero every node sits on a flat
+    piece, the Newton matrix is singular along constants, and Newton drifts
+    to |u| ~ 1e7 and stalls.  The restart from the mass-balanced point
+    solves each case and finds the planted pair."""
+    problem, u, v = scaled_instance(seed, scale, p, 1e4, max_nodes=20)
+    pair = solve_gp(problem)
+    assert verify_solution(problem, pair, DEFAULT_TOL).passed
+    omega = problem.partition.omega
+    assert np.allclose(pair.u[omega], u[omega], rtol=1e-6, atol=1e-9)
+    assert np.allclose(pair.v[omega], v[omega], rtol=1e-6, atol=1e-6)
+
+
+def test_mass_balanced_shift_puts_the_mass_into_the_graph_values():
+    problem, _, _ = forward_instance(54)
+    op = problem._operator()
+    nu = op.nu
+    mass = float(nu @ problem.phi[op.rows])
+    u = np.random.default_rng(1).uniform(-1.0, 1.0, op.rows.size) + 5.0e6
+    shifted = stationary._mass_balanced(problem, op, u)
+    c = shifted - u
+    assert np.allclose(c, c[0], rtol=0.0, atol=1e-8)
+    lo = hi = 0.0
+    for g, mask in stationary._graph_parts(problem, op.rows):
+        a, b = g.interval(shifted[mask])
+        lo, hi = lo + float(nu[mask] @ a), hi + float(nu[mask] @ b)
+    assert lo - 1e-9 * abs(mass) <= mass <= hi + 1e-9 * abs(mass)
 
 
 def test_defect_a_solves_and_recovers_the_planted_u():
@@ -259,6 +315,93 @@ def test_t_contraction_in_the_data(seed):
     assert v_gap <= phi_gap + 1e-8
     # problem2 dominates problem1, so comparison gives ordered states
     assert np.all(pair1.v[omega] <= pair2.v[omega] + 1e-8)
+
+
+# -- stress sweep -------------------------------------------------------------
+
+STRESS_P = (1.2, 1.5, 3.0, 5.0)
+STRESS_LAMBDA = (1e-4, 1.0, 1e4)
+STRESS_SEEDS = range(2000, 2006)
+
+
+def _no_restart(*args):
+    raise AssertionError("the first resolvent Newton failed")
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Residual evaluations of the resolvent system, one entry per call."""
+    calls = []
+    system = stationary._resolvent_system
+
+    def counting(*args):
+        f_and_jac = system(*args)
+
+        def counted(u, want_jac):
+            calls.append(want_jac)
+            return f_and_jac(u, want_jac)
+
+        return counted
+
+    monkeypatch.setattr(stationary, "_resolvent_system", counting)
+    return calls
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0])
+def test_stress_sweep_solves_on_one_path(scale, evaluations, monkeypatch):
+    """Targets scaled by 1e-3 and 1, every p and lambda: the first Newton
+    solves and verifies each case, within 4,000 residual evaluations.  All
+    but one need under 600; p = 3, lambda = 1e4, seed 2003 at 1e-3 crawls
+    through 86 damped Newton iterations and 3,724 evaluations."""
+    monkeypatch.setattr(stationary, "_mass_balanced", _no_restart)
+    for p in STRESS_P:
+        for lam in STRESS_LAMBDA:
+            for seed in STRESS_SEEDS:
+                problem, _, v = scaled_instance(seed, scale, p, lam)
+                evaluations.clear()
+                pair = solve_gp(problem)
+                assert len(evaluations) <= 4000, (p, lam, seed, len(evaluations))
+                assert verify_solution(problem, pair, DEFAULT_TOL).passed
+                omega = problem.partition.omega
+                assert np.allclose(pair.v[omega], v[omega], rtol=1e-6, atol=1e-6)
+
+
+def test_stress_sweep_large_targets_verify_or_raise_in_bounded_work(evaluations):
+    """Targets scaled by 1e3: each case verifies or raises SolverDiverged,
+    within 20,000 residual evaluations.  62 of the 72 verify; the other ten
+    have p = 5 and data from 3e11 to 4e16, where the rounding scale of the
+    pair exceeds the verification tolerances.  The most work, 16,186
+    evaluations, goes to p = 5, lambda = 1, seed 2003, which stalls twice."""
+    solved = 0
+    for p in STRESS_P:
+        for lam in STRESS_LAMBDA:
+            for seed in STRESS_SEEDS:
+                problem, _, _ = scaled_instance(seed, 1e3, p, lam)
+                evaluations.clear()
+                try:
+                    pair = solve_gp(problem)
+                except SolverDiverged:
+                    pass
+                else:
+                    assert verify_solution(problem, pair, DEFAULT_TOL).passed
+                    solved += 1
+                assert len(evaluations) <= 20000, (p, lam, seed, len(evaluations))
+    assert solved >= 62
+
+
+def test_solvers_never_call_the_regularized_solve(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solve_approximate called")
+
+    monkeypatch.setattr(stationary, "solve_approximate", forbidden)
+    monkeypatch.setattr(stationary, "_approx_system", forbidden)
+    for seed in range(3):
+        problem, _, _ = forward_instance(seed, max_nodes=8)
+        solve_gp(problem)
+    problem, _, _ = forward_instance(54)
+    solve_gp(dataclasses.replace(problem, phi=sibling_phi(problem, 10_054)))
+    trajectory, steps = evolution_instance(1)
+    mild_solve(trajectory, steps)
 
 
 # -- approximate problems ------------------------------------------------------
