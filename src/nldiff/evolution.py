@@ -451,6 +451,11 @@ def mild_solve(problem, n_steps) -> MildSolution:
     CompatibilityViolated when the probe fails up front or a step loses
     range feasibility, and SolverDiverged from the inner solver.
     """
+    return _mild_solve(problem, n_steps)[0]
+
+
+def _mild_solve(problem, n_steps):
+    """``mild_solve``, with the passed CompatibilityReport of its probe."""
     n = int(n_steps)
     if n != n_steps or n < 1:
         raise InvalidParameter("n_steps must be a positive integer")
@@ -512,7 +517,7 @@ def mild_solve(problem, n_steps) -> MildSolution:
                 "compatibility margin was insufficient" % (i, times[i]),
                 report=exc.report,
             ) from exc
-        pair = _solve(stat, op, u_start, DEFAULT_TOL)
+        pair, _ = _solve(stat, op, u_start, DEFAULT_TOL)
         u_start = pair.u[op.rows]
         u_rows[i - 1] = pair.u
         v_rows[i] = pair.v[o1]
@@ -536,7 +541,7 @@ def mild_solve(problem, n_steps) -> MildSolution:
         f_averages=forcing_rows,
         mass_series=mass,
         residuals=residuals,
-    )
+    ), report
 
 
 def refine_and_compare(problem, n_start, doublings):
@@ -550,10 +555,21 @@ def refine_and_compare(problem, n_start, doublings):
     doublings = int(doublings)
     if n_start < 1 or doublings < 1:
         raise InvalidParameter("n_start and doublings must be positive")
+    return _refine(problem, mild_solve(problem, n_start), doublings)
+
+
+def _refine(problem, base, doublings):
+    """``refine_and_compare`` from ``base``, the trajectory already solved
+    with its first step count."""
+    doublings = int(doublings)
+    if doublings < 1:
+        raise InvalidParameter("n_start and doublings must be positive")
     nu1 = problem.space.nu[problem.partition.omega1]
     nu2 = problem.space.nu[problem.partition.omega2]
     dynamical = problem.mode == "dynamical"
-    solutions = [mild_solve(problem, n_start << k) for k in range(doublings + 1)]
+    solutions = [base] + [
+        mild_solve(problem, base.step_count << k) for k in range(1, doublings + 1)
+    ]
     out = []
     for coarse, fine in zip(solutions, solutions[1:]):
         n = coarse.step_count

@@ -357,7 +357,11 @@ def poincare_ratio(space, omega, integration_set, u, Z, p) -> float:
     kern = space.kernel[np.ix_(omega, omega)] * mask
     grad = float((nu_o[:, None] * kern * np.abs(du) ** p).sum()) ** (1.0 / p)
     anchor = abs(float((space.nu[Z] * u[Z]).sum()))
-    denom = grad + anchor
+    return _ratio(num, grad + anchor)
+
+
+def _ratio(num, denom):
+    """num / denom, with 0 for a zero vector and inf for a vanishing denom."""
     if num == 0.0:
         return 0.0
     if denom == 0.0:
@@ -372,47 +376,78 @@ def estimate_poincare_constant(
 
     Maximizes :func:`poincare_ratio` over ``probe_count`` random unit-norm
     vectors and random anchor sets Z of measure at least ``l``, plus
-    deterministic probes (the constant vector and each coordinate vector).
-    Deterministic for a fixed seed.  This is a lower bound only; the true
-    constant for general p is not computed.
+    deterministic probes (the constant vector and each coordinate vector,
+    anchored by all of omega).  Deterministic for a fixed seed.  This is a
+    lower bound only; the true constant for general p is not computed.
+
+    The deterministic probes are scored in closed form, with no pass of
+    :func:`poincare_ratio`: the constant vector has no gradient, and the
+    gradient energy of the coordinate vector e_x is the x-th row plus the
+    x-th column sum of nu*k over the masked kernel block without its
+    diagonal (a self-loop adds nothing to a gradient), which by
+    reversibility is 2*nu_x*sum_{j != x} k_xj.  So the ratio of e_x is
+    nu_x^(1/p) / ((2*nu_x*sum_{j != x} k_xj)^(1/p) + nu_x).  The block is
+    sliced and masked once, and each random probe costs one pass over it,
+    so the estimate costs O(probe_count * n^2) on n nodes of omega.
     """
     omega = space.node_set(omega)
+    kern = space.kernel[np.ix_(omega, omega)] * pair_mask(space, omega, integration_set)
+    return _poincare_estimates(space, omega, kern, p, (l,), probe_count, seed)[0]
+
+
+def _gradient_energy(weighted, u, p):
+    """sum_ij weighted_ij * |u_j - u_i|^p: one pass over a kernel block."""
+    return float((weighted * np.abs(u[None, :] - u[:, None]) ** p).sum())
+
+
+def _coordinate_ratios(nu, weighted, p):
+    """:func:`poincare_ratio` of every coordinate vector e_x, anchored by omega.
+
+    ``weighted`` is nu*k over the masked block, without its diagonal.  The
+    gradient energy of e_x is its x-th row plus its x-th column sum, its
+    L^p norm nu_x^(1/p) and its anchor nu_x.
+    """
+    grads = (weighted.sum(axis=1) + weighted.sum(axis=0)) ** (1.0 / p)
+    return nu ** (1.0 / p) / (grads + nu)
+
+
+def _poincare_estimates(space, omega, kern, p, levels, probe_count, seed):
+    """:func:`estimate_poincare_constant` at each anchor measure in ``levels``.
+
+    ``kern`` is the kernel block over the sorted node array ``omega``
+    times its pair mask.  The random probes depend on the seed alone, so
+    every level scores the same probe vectors and gradients, and only the
+    anchor sets differ; each value equals a separate public call.
+    """
     if not is_m_connected(space, omega):
         raise NotConnected("omega must be m-connected for the probe estimate")
     total = space.measure(omega)
-    if not (0 < l <= total):
+    if not all(0 < l <= total for l in levels):
         raise InvalidParameter("need 0 < l <= nu(omega)")
+    if p <= 1:
+        raise InvalidParameter("p must exceed 1")
+    nu = space.nu[omega]
+    weighted = nu[:, None] * kern
+    np.fill_diagonal(weighted, 0.0)  # a self-loop adds nothing to a gradient
+    # the constant vector has no gradient and is anchored by all of omega
+    best = max(_ratio(total ** (1.0 / p), total),
+               float(np.max(_coordinate_ratios(nu, weighted, p))))
+    bests = [best] * len(levels)
     rng = np.random.default_rng(seed)
-    best = 0.0
-
-    def consider(u_full, Z):
-        nonlocal best
-        r = poincare_ratio(space, omega, integration_set, u_full, Z, p)
-        if r > best:
-            best = r
-
-    # deterministic probes: constant vector and every coordinate vector
-    const = np.zeros(space.node_count)
-    const[omega] = 1.0
-    consider(const, omega)
-    for x in omega:
-        e = np.zeros(space.node_count)
-        e[x] = 1.0
-        consider(e, omega)
-
     for _ in range(int(probe_count)):
-        u = np.zeros(space.node_count)
         raw = rng.standard_normal(omega.size)
-        norm = float((space.nu[omega] * np.abs(raw) ** p).sum()) ** (1.0 / p)
+        norm = float((nu * np.abs(raw) ** p).sum()) ** (1.0 / p)
         if norm == 0.0:
             continue
-        u[omega] = raw / norm
-        perm = rng.permutation(omega)
-        acc, chosen = 0.0, []
-        for x in perm:
-            chosen.append(int(x))
-            acc += float(space.nu[x])
-            if acc >= l:
-                break
-        consider(u, np.array(chosen, dtype=int))
-    return best
+        u = raw / norm
+        # the shuffle of omega's positions is the shuffle of omega itself
+        perm = rng.permutation(omega.size)
+        num = float((nu * np.abs(u) ** p).sum()) ** (1.0 / p)
+        grad = _gradient_energy(weighted, u, p) ** (1.0 / p)
+        reached = np.cumsum(nu[perm])
+        for i, l in enumerate(levels):
+            # Z: the shortest prefix of the shuffle whose measure reaches l
+            Z = np.sort(perm[: int(np.searchsorted(reached, l)) + 1])
+            anchor = abs(float((nu[Z] * u[Z]).sum()))
+            bests[i] = max(bests[i], _ratio(num, grad + anchor))
+    return bests

@@ -32,7 +32,8 @@ from .monotone import MonotoneGraph
 from .space import (
     DomainPartition,
     FiniteRandomWalkSpace,
-    estimate_poincare_constant,
+    _poincare_estimates,
+    estimate_poincare_constant,  # noqa: F401  (nldiff_bench/tracing.py patches it here)
     is_m_connected,
 )
 
@@ -362,8 +363,9 @@ def _recover_pair(problem, u_sub, op, tol, iterations):
 
     v is clamped onto the values verification accepts at u, the graph's
     over u +- tol*(1 + |u|), where it misses them by at most tol times the
-    size of the equation's terms at the node, its rounding scale.  Raises
-    SolverDiverged when the pair fails verification.
+    size of the equation's terms at the node, its rounding scale.  Returns
+    the pair and its VerificationReport; raises SolverDiverged when the
+    pair fails verification.
     """
     omega = op.rows
     lam_div, size = _equation_terms(problem, op, u_sub)
@@ -389,7 +391,7 @@ def _recover_pair(problem, u_sub, op, tol, iterations):
         raise SolverDiverged(
             "resolvent Newton pair fails verification: " + "; ".join(report.failures)
         )
-    return pair
+    return pair, report
 
 
 def _resolvent_system(problem, op, mu):
@@ -423,7 +425,7 @@ def _resolvent_system(problem, op, mu):
 
 
 def _resolvent_newton(problem, op, start, tol, reached):
-    """Verified pair from the resolvent Newton at ``start``.
+    """Verified pair and its report from the resolvent Newton at ``start``.
 
     The step is mu = min(1, 1/lambda).  Off the graphs' jumps F is mu
     times the equation's residual, so Newton stops at 1e-12*mu times the
@@ -505,7 +507,8 @@ def _check_domain(problem):
 
 
 def _check_feasible(problem):
-    """Raise RangeInfeasible unless the data integral is inside the range."""
+    """The RangeReport; raise RangeInfeasible unless the data integral is
+    inside the range."""
     report = check_range(problem)
     if not report.feasible:
         raise RangeInfeasible(
@@ -513,6 +516,7 @@ def _check_feasible(problem):
             % (report.integral_phi, report.r_minus, report.r_plus),
             report=report,
         )
+    return report
 
 
 def solve_gp(problem: StationaryProblem, tol: float = DEFAULT_TOL) -> SolutionPair:
@@ -523,13 +527,20 @@ def solve_gp(problem: StationaryProblem, tol: float = DEFAULT_TOL) -> SolutionPa
     SolverDiverged when the resolvent Newton, from zero and once more from
     the mass-balanced point it reached, yields no verified pair.
     """
+    return _solve_gp(problem, tol)[0]
+
+
+def _solve_gp(problem, tol):
+    """``solve_gp``, with the VerificationReport of the pair and the
+    RangeReport it checked on the way: (pair, verification, range)."""
     _check_domain(problem)
-    _check_feasible(problem)
-    return _solve(problem, problem._operator(), None, tol)
+    feasible = _check_feasible(problem)
+    pair, verification = _solve(problem, problem._operator(), None, tol)
+    return pair, verification, feasible
 
 
 def _solve(problem, op, start, tol):
-    """Solve a checked problem with its operator ``op``.
+    """Solve a checked problem with its operator ``op``: (pair, its report).
 
     ``start`` is a guess for u over Omega, or None for zero.  The resolvent
     Newton runs from it at the step mu = min(1, 1/lambda).  When that
@@ -622,22 +633,24 @@ def contraction_gap(problem1, problem2, pair1, pair2):
 
 
 def energy_report(problem, pair):
-    """Gradient energy of u against a probe-based data bound (diagnostic)."""
+    """Gradient energy of u against a probe-based data bound (diagnostic).
+
+    The bound takes the Poincare probe estimates at anchor measures
+    nu(Omega) and nu(Omega)/2 (8 probes, seed 0); both score the same
+    probes on the problem operator's masked kernel block.
+    """
     omega = problem.partition.omega
+    op = problem._operator()
     u = np.asarray(pair.u, float)[omega]
-    nu = problem.space.nu[omega]
-    kern = problem._operator().kernel
+    nu = op.nu
     p = problem.flux.p
     q = p / (p - 1.0)
-    du = np.abs(u[None, :] - u[:, None])
-    energy = float((nu[:, None] * kern * du ** p).sum()) ** (1.0 / q)
-    mask_spec = problem._mask_spec
+    du = np.abs(op._differences(u))
+    energy = float((nu[:, None] * op.kernel * du ** p).sum()) ** (1.0 / q)
     nu_total = float(nu.sum())
-    lam1 = estimate_poincare_constant(
-        problem.space, omega, mask_spec, p, nu_total, probe_count=8, seed=0
-    )
-    lam2 = estimate_poincare_constant(
-        problem.space, omega, mask_spec, p, 0.5 * nu_total, probe_count=8, seed=0
+    lam1, lam2 = _poincare_estimates(
+        problem.space, omega, op.kernel, p, (nu_total, 0.5 * nu_total),
+        probe_count=8, seed=0,
     )
     phi = problem.phi[omega]
     norm_q = float((nu * np.abs(phi) ** q).sum()) ** (1.0 / q)

@@ -5,7 +5,10 @@ import json
 
 import pytest
 
+from nldiff import cli
 from nldiff.cli import check, main, run
+from nldiff.evolution import compatibility_check, refine_and_compare
+from nldiff.stationary import check_range, solve_gp, verify_solution
 
 TWO_NODE_SPACE = {"type": "weighted_graph", "weights": [[0.0, 1.0], [1.0, 0.0]]}
 
@@ -120,6 +123,58 @@ def test_reruns_are_byte_identical(tmp_path, capsys):
     capsys.readouterr()
     for name in ("fixed_solution.csv", "fixed_report.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def as_json(report):
+    """A report as the CLI writes it into ``_report.json``."""
+    return json.loads(cli._dump_json(cli._report_dict(report)))
+
+
+GRID_SPACE = {
+    "type": "kernel_grid",
+    "points": [[x, y] for x in range(5) for y in range(5)],
+    "spacing": 1.0,
+    "profile": {"type": "indicator", "radius": 1.5},
+}
+
+
+@pytest.mark.parametrize("payload", [
+    stationary_payload(),
+    stationary_payload(
+        space=GRID_SPACE,
+        partition={"omega1": list(range(5, 20)),
+                   "omega2": list(range(5)) + list(range(20, 25))},
+        flux={"type": "p_laplacian", "p": 3.0},
+        gamma={"type": "stefan"}, integration_set="Q2", tol=1e-10,
+        phi=[((7 * i) % 11) / 5.0 - 1.0 for i in range(25)]),
+])
+def test_stationary_report_holds_the_public_checks(tmp_path, capsys, payload):
+    """The verification and range entries are what verify_solution and
+    check_range report on the same pair."""
+    cfg = write_config(tmp_path, "checked.json", payload)
+    assert main(["stationary", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "checked_report.json").read_text())
+    problem = cli._stationary_problem(payload, str(tmp_path))
+    tol = payload.get("tol", 1e-9)
+    pair = solve_gp(problem, tol=tol)
+    assert report["verification"] == as_json(verify_solution(problem, pair, tol))
+    assert report["range_report"] == as_json(check_range(problem))
+
+
+def test_evolution_report_holds_the_public_diagnostics(tmp_path, capsys):
+    """The refinement table and the compatibility entry are what
+    refine_and_compare and compatibility_check give."""
+    payload = evolve_payload(refine_doublings=2, n_steps=4,
+                             f=[0.25, -0.5], horizon=0.75)
+    cfg = write_config(tmp_path, "diag.json", payload)
+    assert main(["evolve", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "diag_report.json").read_text())
+    problem = cli._evolution_problem(payload, str(tmp_path), "evolve-dynamical")
+    table = refine_and_compare(problem, 4, 2)
+    assert report["refinement_table"] == [[n, d] for n, d in table]
+    assert report["compatibility"] == as_json(compatibility_check(problem, 4))
 
 
 def evolve_payload(**overrides):

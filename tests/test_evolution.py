@@ -426,9 +426,9 @@ def step_pairs(monkeypatch):
     solve = evolution._solve
 
     def recording(problem, op, start, tol):
-        pair = solve(problem, op, start, tol)
+        pair, report = solve(problem, op, start, tol)
         seen.append((problem, pair))
-        return pair
+        return pair, report
 
     monkeypatch.setattr(evolution, "_solve", recording)
     return seen

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nldiff import space as space_module
 from nldiff.errors import EmptyZ, InvalidParameter, NotConnected
 from nldiff.space import (
     DomainPartition,
@@ -229,6 +230,77 @@ def test_poincare_estimate_dominates_deterministic_probes():
         e = np.zeros(6)
         e[x] = 1.0
         assert est >= poincare_ratio(space, omega, "Q1", e, omega, 2.0) - 1e-12
+
+
+def coordinate_ratios(monkeypatch, space, omega, integration_set, p):
+    """The closed-form coordinate ratios that the public estimate computes."""
+    seen = []
+    closed_form = space_module._coordinate_ratios
+
+    def recording(*args):
+        seen.append(closed_form(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(space_module, "_coordinate_ratios", recording)
+    estimate_poincare_constant(space, omega, integration_set, p,
+                               space.measure(omega), 0, seed=0)
+    monkeypatch.undo()
+    assert len(seen) == 1
+    return seen[0]
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("q2", [False, True])
+@pytest.mark.parametrize("self_loops", [False, True])
+def test_coordinate_probes_match_the_definition(monkeypatch, p, q2, self_loops):
+    """Each coordinate vector's closed-form ratio is poincare_ratio's, to a
+    few ulp, under Q1 and Q2 and with self-loops in the weights."""
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 12))
+        space = random_space(rng, n)
+        if self_loops:
+            w = space.nu[:, None] * space.kernel
+            w = w + np.diag(rng.uniform(0.1, 2.0, n))
+            space = from_weighted_graph(w)
+            assert np.all(np.diag(space.kernel) > 0)
+        omega = space.node_set(range(n))
+        integration_set = ("Q2", rng.choice(n, n // 2, replace=False)) if q2 else "Q1"
+        closed = coordinate_ratios(monkeypatch, space, omega, integration_set, p)
+        direct = []
+        for x in omega:
+            e = np.zeros(n)
+            e[x] = 1.0
+            direct.append(poincare_ratio(space, omega, integration_set, e, omega, p))
+        np.testing.assert_array_max_ulp(closed, np.array(direct), maxulp=4)
+
+
+def test_poincare_estimate_work_does_not_grow_with_n(monkeypatch):
+    """One masked kernel slice, one pass for all coordinate probes and one
+    pass per random probe, on a 10x10 and a 20x20 grid alike; no
+    poincare_ratio calls."""
+    counted = ("poincare_ratio", "pair_mask", "_coordinate_ratios", "_gradient_energy")
+    by_side = {}
+    for side in (10, 20):
+        xs, ys = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
+        points = np.column_stack([xs.ravel(), ys.ravel()]).astype(float)
+        space = from_kernel_grid(points, 1.0, {"type": "indicator", "radius": 1.5})
+        omega = space.node_set(range(space.node_count))
+        calls = dict.fromkeys(counted, 0)
+        for name in counted:
+            def counting(*args, _name=name, _fn=getattr(space_module, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(space_module, name, counting)
+        est = estimate_poincare_constant(space, omega, ("Q2", omega[:side]), 2.0,
+                                         space.measure(omega), 8, seed=0)
+        monkeypatch.undo()
+        assert est > 0
+        by_side[side] = calls
+    assert by_side[10] == by_side[20] == {
+        "poincare_ratio": 0, "pair_mask": 1, "_coordinate_ratios": 1,
+        "_gradient_energy": 8,
+    }
 
 
 def test_poincare_estimate_requires_connected_omega():

@@ -14,12 +14,18 @@ from conftest import (
     scaled_instance,
     sibling_phi,
 )
+from nldiff import space as space_module
 from nldiff import stationary
 from nldiff.errors import NotConnected, RangeInfeasible, SolverDiverged
 from nldiff.evolution import mild_solve
 from nldiff.flux import p_laplacian_flux
 from nldiff.monotone import make_hele_shaw, make_identity, make_obstacle, make_stefan
-from nldiff.space import DomainPartition, from_weighted_graph
+from nldiff.space import (
+    DomainPartition,
+    estimate_poincare_constant,
+    from_kernel_grid,
+    from_weighted_graph,
+)
 from nldiff.stationary import (
     DEFAULT_TOL,
     _resolvent_system,
@@ -120,13 +126,13 @@ def test_stalled_resolvent_newton_restarts_from_the_mass_balanced_point(monkeypa
         return mass_balanced(*args)
 
     monkeypatch.setattr(stationary, "_mass_balanced", recording)
-    pair = stationary._solve(problem, op, None, DEFAULT_TOL)
+    pair, _ = stationary._solve(problem, op, None, DEFAULT_TOL)
     assert len(restarts) == 1
     assert verify_solution(problem, pair, DEFAULT_TOL).passed
     rng = np.random.default_rng(0)
     for _ in range(200):
         start = rng.uniform(-3.0, 3.0, op.rows.size)
-        pair = stationary._solve(problem, op, start, DEFAULT_TOL)
+        pair, _ = stationary._solve(problem, op, start, DEFAULT_TOL)
         assert verify_solution(problem, pair, DEFAULT_TOL).passed
 
 
@@ -442,6 +448,53 @@ def test_energy_report_shape():
     assert bound > 0.0 and np.isfinite(bound)
     # probe seeding is fixed, so the report is reproducible
     assert (energy, bound) == energy_report(problem, pair)
+
+
+@pytest.mark.parametrize("integration_set", ["Q1", "Q2"])
+def test_energy_report_shares_one_probe_set(monkeypatch, integration_set):
+    """The two Poincare estimates of energy_report equal two public calls
+    bit for bit, while each probe's gradient is scored once for both, and
+    the gradient energy is its definition on the problem's pair set."""
+    side = 8
+    xs, ys = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
+    points = np.column_stack([xs.ravel(), ys.ravel()]).astype(float)
+    space = from_kernel_grid(points, 1.0, {"type": "indicator", "radius": 1.5})
+    ring = ((xs == 0) | (ys == 0) | (xs == side - 1) | (ys == side - 1)).ravel()
+    phi = np.random.default_rng(4).uniform(-1.0, 1.0, space.node_count)
+    problem = StationaryProblem(
+        space=space,
+        partition=DomainPartition(np.where(~ring)[0], np.where(ring)[0]),
+        flux=p_laplacian_flux(3.0), gamma=make_stefan(1.0), beta=make_identity(),
+        phi=phi, integration_set=integration_set,
+    )
+    pair = solve_gp(problem)
+    estimates = []
+    gradients = []
+    shared = stationary._poincare_estimates
+    gradient_energy = space_module._gradient_energy
+
+    def recording(*args, **kwargs):
+        estimates.append((args, shared(*args, **kwargs)))
+        return estimates[-1][1]
+
+    def counting(*args):
+        gradients.append(args)
+        return gradient_energy(*args)
+
+    monkeypatch.setattr(stationary, "_poincare_estimates", recording)
+    monkeypatch.setattr(space_module, "_gradient_energy", counting)
+    energy, _ = energy_report(problem, pair)
+    assert len(estimates) == 1 and len(gradients) == 8
+    monkeypatch.undo()
+    (_, omega, _, p, levels), values = estimates[0]
+    assert values == [
+        estimate_poincare_constant(space, omega, problem._mask_spec, p, l, 8, seed=0)
+        for l in levels
+    ]
+    op = problem._operator()
+    u = pair.u[omega]
+    du = np.abs(u[None, :] - u[:, None])
+    assert energy == float((op.nu[:, None] * op.kernel * du ** 3.0).sum()) ** (2.0 / 3.0)
 
 
 def test_verify_solution_flags_bad_pairs():
