@@ -30,14 +30,14 @@ from .errors import (
 )
 from .evolution import (
     EvolutionProblem,
-    _mild_solve,
+    _dtn_problem,
     _refine,
     compatibility_check,
+    mild_solve,
     strong_residual,
 )
 from .flux import p_laplacian_flux, weighted_flux
 from .monotone import from_config as graph_from_config
-from .monotone import make_identity, make_zero
 from .space import (
     REVERSIBILITY_TOL,
     DomainPartition,
@@ -45,20 +45,13 @@ from .space import (
     from_kernel_grid,
     from_weighted_graph,
     is_m_connected,
-    m_boundary,
     profile_from_config,
 )
-from .stationary import (
-    StationaryProblem,
-    _solve_gp,
-    check_range,
-    energy_report,
-)
+from .stationary import StationaryProblem, check_range, energy_report, solve_gp
 
-# the public solvers the runner reaches through private helpers stay
-# importable here, where nldiff_bench/tracing.py patches the names it wraps
-from .evolution import mild_solve, refine_and_compare  # noqa: F401
-from .stationary import solve_gp, verify_solution  # noqa: F401
+# not called here, but nldiff_bench/tracing.py patches these names here
+from .evolution import refine_and_compare  # noqa: F401
+from .stationary import verify_solution  # noqa: F401
 
 _KINDS = ("stationary", "evolve-dynamical", "evolve-static", "dtn", "check")
 
@@ -191,6 +184,15 @@ def _stationary_problem(cfg, base_dir):
 
 
 def _evolution_problem(cfg, base_dir, kind):
+    if kind == "dtn":
+        return _dtn_problem(
+            _build_space(_require(cfg, "space", kind), base_dir),
+            _require(cfg, "W", kind),
+            _build_flux(_require(cfg, "flux", kind)),
+            _build_source(cfg.get("g"), "g"),
+            np.asarray(_require(cfg, "w0", kind), dtype=float),
+            float(_require(cfg, "horizon", kind)),
+        )
     mode = "dynamical" if kind == "evolve-dynamical" else "static_boundary"
     partition = _build_partition(_require(cfg, "partition", kind))
     w0 = cfg.get("w0")
@@ -206,27 +208,6 @@ def _evolution_problem(cfg, base_dir, kind):
         f=_build_source(cfg.get("f"), "f"),
         g=_build_source(cfg.get("g"), "g"),
         horizon=float(_require(cfg, "horizon", kind)),
-    )
-
-
-def _dtn_problem(cfg, base_dir):
-    space = _build_space(_require(cfg, "space", "dtn"), base_dir)
-    w_nodes = space.node_set(_require(cfg, "W", "dtn"))
-    boundary = m_boundary(space, w_nodes)
-    if boundary.size == 0:
-        raise InvalidParameter("W has no m-boundary to evolve")
-    return EvolutionProblem(
-        space=space,
-        partition=DomainPartition(w_nodes, boundary),
-        flux=_build_flux(_require(cfg, "flux", "dtn")),
-        gamma=make_zero(),
-        beta=make_identity(),
-        mode="dynamical",
-        v0=np.zeros(w_nodes.size),
-        w0=np.asarray(_require(cfg, "w0", "dtn"), dtype=float),
-        f=None,
-        g=_build_source(cfg.get("g"), "g"),
-        horizon=float(_require(cfg, "horizon", "dtn")),
     )
 
 
@@ -306,7 +287,7 @@ def _write_mass_csv(path, problem, solution):
 def _run_stationary(cfg, base_dir, out_dir, stem):
     problem = _stationary_problem(cfg, base_dir)
     tol = float(cfg.get("tol", 1e-9))
-    pair, verification, range_report = _solve_gp(problem, tol)
+    pair = solve_gp(problem, tol)
     energy, bound = energy_report(problem, pair)
     solution_path = os.path.join(out_dir, stem + "_solution.csv")
     report_path = os.path.join(out_dir, stem + "_report.json")
@@ -316,26 +297,23 @@ def _run_stationary(cfg, base_dir, out_dir, stem):
         "residual_inf": pair.residual_inf,
         "iterations": pair.iterations,
         "schedule_trace": list(pair.schedule_trace),
-        "verification": _report_dict(verification),
-        "range_report": _report_dict(range_report),
+        "verification": _report_dict(pair.verification),
+        "range_report": _report_dict(check_range(problem)),
         "energy": {"gradient_energy": energy, "bound": bound},
     }
     _atomic_write(report_path, _dump_json(report) + "\n")
     return {
         "kind": "stationary",
         "residual_inf": pair.residual_inf,
-        "verified": verification.passed,
+        "verified": pair.verification.passed,
         "outputs": [solution_path, report_path],
     }
 
 
 def _run_evolution(cfg, base_dir, out_dir, stem, kind):
-    if kind == "dtn":
-        problem = _dtn_problem(cfg, base_dir)
-    else:
-        problem = _evolution_problem(cfg, base_dir, kind)
+    problem = _evolution_problem(cfg, base_dir, kind)
     n_steps = int(_require(cfg, "n_steps", kind))
-    solution, compatibility = _mild_solve(problem, n_steps)
+    solution = mild_solve(problem, n_steps)
     doublings = int(cfg.get("refine_doublings", 0))
     table = _refine(problem, solution, doublings) if doublings else []
     try:
@@ -354,7 +332,7 @@ def _run_evolution(cfg, base_dir, out_dir, stem, kind):
         "step_count": solution.step_count,
         "residuals": solution.residuals.tolist(),
         "mass_series": solution.mass_series.tolist(),
-        "compatibility": _report_dict(compatibility),
+        "compatibility": _report_dict(solution.compatibility),
         "energy_ledger": ledger,
         "refinement_table": [[int(n), float(d)] for n, d in table],
     }
@@ -376,9 +354,7 @@ def _run_check(cfg, base_dir, out_dir, stem):
     def add(name, passed, detail):
         checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
-    if kind == "dtn":
-        problem = _dtn_problem(cfg, base_dir)
-    elif kind in ("evolve-dynamical", "evolve-static"):
+    if kind in ("evolve-dynamical", "evolve-static", "dtn"):
         problem = _evolution_problem(cfg, base_dir, kind)
     elif kind == "stationary":
         problem = _stationary_problem(cfg, base_dir)

@@ -220,29 +220,6 @@ class EvolutionProblem:
 
 
 @dataclass(frozen=True)
-class MildSolution:
-    """Implicit-Euler trajectory with its forcing averages and mass ledger.
-
-    Row i of ``v`` (and ``w``) is the state at ``times[i]``; row 0 holds the
-    initial data.  In static-boundary mode the boundary trace exists only
-    from the first step on, so ``w[0]`` is NaN padding there.  ``u[i]`` is
-    the full-length potential of step i+1.  ``f_averages`` stores the
-    per-step forcing averages scattered to full node vectors, and
-    ``mass_series`` the nu-weighted total of the evolving state.
-    """
-
-    mode: str
-    step_count: int
-    times: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-    f_averages: np.ndarray
-    mass_series: np.ndarray
-    residuals: np.ndarray
-
-
-@dataclass(frozen=True)
 class CompatibilityReport:
     """Outcome of the range-compatibility probe for an evolution problem.
 
@@ -261,6 +238,31 @@ class CompatibilityReport:
     probe_values: np.ndarray
     violation_time: float = None
     detail: str = ""
+
+
+@dataclass(frozen=True)
+class MildSolution:
+    """Implicit-Euler trajectory with its forcing averages and mass ledger.
+
+    Row i of ``v`` (and ``w``) is the state at ``times[i]``; row 0 holds the
+    initial data.  In static-boundary mode the boundary trace exists only
+    from the first step on, so ``w[0]`` is NaN padding there.  ``u[i]`` is
+    the full-length potential of step i+1.  ``f_averages`` stores the
+    per-step forcing averages scattered to full node vectors, and
+    ``mass_series`` the nu-weighted total of the evolving state.
+    ``compatibility`` is the passed probe report the trajectory ran under.
+    """
+
+    mode: str
+    step_count: int
+    times: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+    f_averages: np.ndarray
+    mass_series: np.ndarray
+    residuals: np.ndarray
+    compatibility: CompatibilityReport = None
 
 
 @dataclass(frozen=True)
@@ -364,74 +366,55 @@ def compatibility_check(problem, n_probe) -> CompatibilityReport:
             _source_peak(gk, gp, horizon, o2.size, "g"),
         )
         margin = 2.0 * (horizon / n_probe) * peak * float(nu1.sum() + nu2.sum())
-        masses = np.empty(n_probe + 1)
-        masses[0] = float(nu1 @ problem.v0) + float(nu2 @ problem.w0)
+        values = np.empty(n_probe + 1)
+        values[0] = float(nu1 @ problem.v0) + float(nu2 @ problem.w0)
         for i in range(1, n_probe + 1):
             t0, t1 = times[i - 1], times[i]
             step = (t1 - t0) * (
                 float(nu1 @ _source_average(fk, fp, t0, t1, o1.size, "f"))
                 + float(nu2 @ _source_average(gk, gp, t0, t1, o2.size, "g"))
             )
-            masses[i] = masses[i - 1] + step
-        for i in range(n_probe + 1):
-            low_ok = r_minus == -np.inf or masses[i] > r_minus + margin
-            high_ok = r_plus == np.inf or masses[i] < r_plus - margin
-            if not (low_ok and high_ok):
-                return CompatibilityReport(
-                    mode=problem.mode,
-                    passed=False,
-                    r_minus=r_minus,
-                    r_plus=r_plus,
-                    margin=margin,
-                    probe_times=times,
-                    probe_values=masses,
-                    violation_time=float(times[i]),
-                    detail="projected mass %.17g leaves (%g, %g) at t=%g "
-                    "(margin %g)" % (masses[i], r_minus, r_plus, times[i], margin),
-                )
-        return CompatibilityReport(
-            mode=problem.mode,
-            passed=True,
-            r_minus=r_minus,
-            r_plus=r_plus,
-            margin=margin,
-            probe_times=times,
-            probe_values=masses,
+            values[i] = values[i - 1] + step
+        low_ok = (r_minus == -np.inf) | (values > r_minus + margin)
+        high_ok = (r_plus == np.inf) | (values < r_plus - margin)
+        bad = ~(low_ok & high_ok)
+        detail = "projected mass %.17g leaves (%g, %g) at t=%g" + (
+            " (margin %g)" % margin
         )
-
-    # static boundary: the bulk source must be absorbable by the boundary
-    nu2_total = float(nu2.sum())
-    plus_open = (o1.size and ghi == np.inf) or (o2.size and bhi == np.inf)
-    minus_open = (o1.size and glo == -np.inf) or (o2.size and blo == -np.inf)
-    cap_plus = np.inf if plus_open else _weighted_bound(nu2_total, bhi)
-    cap_minus = -np.inf if minus_open else _weighted_bound(nu2_total, blo)
-    values = np.empty(n_probe)
-    for i in range(n_probe):
-        favg = _source_average(fk, fp, times[i], times[i + 1], o1.size, "f")
-        values[i] = float(nu1 @ favg)
-    for i in range(n_probe):
-        if values[i] > cap_plus or values[i] < cap_minus:
-            return CompatibilityReport(
-                mode=problem.mode,
-                passed=False,
-                r_minus=cap_minus,
-                r_plus=cap_plus,
-                margin=0.0,
-                probe_times=times[1:],
-                probe_values=values,
-                violation_time=float(times[i + 1]),
-                detail="bulk source integral %.17g leaves [%g, %g] on the "
-                "window ending at t=%g"
-                % (values[i], cap_minus, cap_plus, times[i + 1]),
-            )
+    else:
+        # static boundary: the bulk source must be absorbable by the boundary
+        nu2_total = float(nu2.sum())
+        plus_open = (o1.size and ghi == np.inf) or (o2.size and bhi == np.inf)
+        minus_open = (o1.size and glo == -np.inf) or (o2.size and blo == -np.inf)
+        r_plus = np.inf if plus_open else _weighted_bound(nu2_total, bhi)
+        r_minus = -np.inf if minus_open else _weighted_bound(nu2_total, blo)
+        margin = 0.0
+        values = np.array([
+            float(nu1 @ _source_average(fk, fp, t0, t1, o1.size, "f"))
+            for t0, t1 in zip(times[:-1], times[1:])
+        ])
+        times = times[1:]
+        bad = (values > r_plus) | (values < r_minus)
+        detail = (
+            "bulk source integral %.17g leaves [%g, %g] on the window ending at t=%g"
+        )
+    violation = {}
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        i = hits[0]
+        violation = dict(
+            violation_time=float(times[i]),
+            detail=detail % (values[i], r_minus, r_plus, times[i]),
+        )
     return CompatibilityReport(
         mode=problem.mode,
-        passed=True,
-        r_minus=cap_minus,
-        r_plus=cap_plus,
-        margin=0.0,
-        probe_times=times[1:],
+        passed=not hits.size,
+        r_minus=r_minus,
+        r_plus=r_plus,
+        margin=margin,
+        probe_times=times,
         probe_values=values,
+        **violation,
     )
 
 
@@ -449,13 +432,9 @@ def mild_solve(problem, n_steps) -> MildSolution:
     range condition on every step, and each step's resolvent Newton starts
     from the previous step's potential, for every pair of graphs.  Raises
     CompatibilityViolated when the probe fails up front or a step loses
-    range feasibility, and SolverDiverged from the inner solver.
+    range feasibility, and SolverDiverged from the inner solver.  The
+    solution carries the passed CompatibilityReport of the probe.
     """
-    return _mild_solve(problem, n_steps)[0]
-
-
-def _mild_solve(problem, n_steps):
-    """``mild_solve``, with the passed CompatibilityReport of its probe."""
     n = int(n_steps)
     if n != n_steps or n < 1:
         raise InvalidParameter("n_steps must be a positive integer")
@@ -517,7 +496,7 @@ def _mild_solve(problem, n_steps):
                 "compatibility margin was insufficient" % (i, times[i]),
                 report=exc.report,
             ) from exc
-        pair, _ = _solve(stat, op, u_start, DEFAULT_TOL)
+        pair = _solve(stat, op, u_start, DEFAULT_TOL)
         u_start = pair.u[op.rows]
         u_rows[i - 1] = pair.u
         v_rows[i] = pair.v[o1]
@@ -541,7 +520,8 @@ def _mild_solve(problem, n_steps):
         f_averages=forcing_rows,
         mass_series=mass,
         residuals=residuals,
-    ), report
+        compatibility=report,
+    )
 
 
 def refine_and_compare(problem, n_start, doublings):
@@ -552,8 +532,7 @@ def refine_and_compare(problem, n_start, doublings):
     trajectories), comparing the step functions on the finer grid.
     """
     n_start = int(n_start)
-    doublings = int(doublings)
-    if n_start < 1 or doublings < 1:
+    if n_start < 1:
         raise InvalidParameter("n_start and doublings must be positive")
     return _refine(problem, mild_solve(problem, n_start), doublings)
 
@@ -717,11 +696,16 @@ def dtn_evolve(space, W, flux, g, w0, T, n_steps) -> MildSolution:
     interior stays an instantaneous lifting while the boundary state
     follows its flux plus the source ``g``.
     """
+    return mild_solve(_dtn_problem(space, W, flux, g, w0, T), n_steps)
+
+
+def _dtn_problem(space, W, flux, g, w0, T):
+    """The EvolutionProblem that ``dtn_evolve`` marches."""
     w_nodes = space.node_set(W)
-    bd = m_boundary(space, W)
+    bd = m_boundary(space, w_nodes)
     if bd.size == 0:
         raise InvalidParameter("W has no m-boundary to evolve")
-    problem = EvolutionProblem(
+    return EvolutionProblem(
         space=space,
         partition=DomainPartition(w_nodes, bd),
         flux=flux,
@@ -734,4 +718,3 @@ def dtn_evolve(space, W, flux, g, w0, T, n_steps) -> MildSolution:
         g=g,
         horizon=T,
     )
-    return mild_solve(problem, n_steps)

@@ -8,7 +8,7 @@ Neumann boundary derivative.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,8 @@ from .space import m_boundary, m_closure, pair_mask
 
 _VALIDATION_TRIPLES = 1000
 _VALIDATION_SEED = 424243
+# slope() takes the derivative at |r| of at least this, finite for p < 2
+SLOPE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,6 @@ class LerayLionsFlux:
     C_p: float
     phi: np.ndarray | None = None
     evaluator: object = None
-    _pair_dependent: bool = field(default=False, repr=False)
 
     def evaluate(self, x, y, r):
         """a(x, y, r) with numpy broadcasting over all three arguments."""
@@ -61,10 +62,10 @@ class LerayLionsFlux:
             return w * _odd_power(r, self.p - 1.0)
         return np.asarray(self.evaluator(x, y, r), dtype=float)
 
-    def slope(self, x, y, r, floor=1e-12):
+    def slope(self, x, y, r):
         """Derivative of r -> a(x, y, r), floored away from 0 for p < 2."""
         r = np.asarray(r, dtype=float)
-        base = np.maximum(np.abs(r), floor)
+        base = np.maximum(np.abs(r), SLOPE_FLOOR)
         if self.kind == "p_laplacian":
             return (self.p - 1.0) * base ** (self.p - 2.0)
         if self.kind == "weighted":
@@ -102,7 +103,6 @@ def weighted_flux(p, phi) -> LerayLionsFlux:
         c_p=float(np.min(phi)),
         C_p=float(np.max(phi)),
         phi=phi.copy(),
-        _pair_dependent=True,
     )
 
 
@@ -142,8 +142,7 @@ def custom_flux(p, evaluator, c_p, C_p, node_hint=8) -> LerayLionsFlux:
     if not np.all(zero == 0.0):
         raise InvalidParameter("custom flux must vanish at r = 0")
     return LerayLionsFlux(
-        p=p, kind="custom", c_p=float(c_p), C_p=float(C_p),
-        evaluator=evaluator, _pair_dependent=True,
+        p=p, kind="custom", c_p=float(c_p), C_p=float(C_p), evaluator=evaluator
     )
 
 

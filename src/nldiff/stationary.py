@@ -39,6 +39,7 @@ from .space import (
 
 DEFAULT_TOL = 1e-9
 RANGE_EPS_BASE = 1e-10
+NEWTON_ITERATION_CAP = 420
 
 
 @dataclass(frozen=True)
@@ -99,18 +100,6 @@ class StationaryProblem:
 
 
 @dataclass(frozen=True)
-class SolutionPair:
-    """A verified solution.  ``schedule_trace`` is always (); it stays for
-    the readers of the CLI report."""
-
-    u: np.ndarray
-    v: np.ndarray
-    residual_inf: float
-    iterations: int
-    schedule_trace: tuple = ()
-
-
-@dataclass(frozen=True)
 class RangeReport:
     r_minus: float
     r_plus: float
@@ -126,6 +115,21 @@ class VerificationReport:
     conservation_gap: float
     passed: bool
     failures: tuple = ()
+
+
+@dataclass(frozen=True)
+class SolutionPair:
+    """A solution pair.  ``verification`` is the VerificationReport that
+    accepted it, None for a pair not built by the solver.
+    ``schedule_trace`` is always (); it stays for the readers of the CLI
+    report."""
+
+    u: np.ndarray
+    v: np.ndarray
+    residual_inf: float
+    iterations: int
+    schedule_trace: tuple = ()
+    verification: VerificationReport = None
 
 
 def check_range(problem: StationaryProblem) -> RangeReport:
@@ -163,7 +167,7 @@ def _weighted_bound(mass, bound):
 # shared damped Newton driver
 # ---------------------------------------------------------------------------
 
-def _damped_newton(f_and_jac, u0, tol, total_cap=420):
+def _damped_newton(f_and_jac, u0, tol):
     """Semismooth Newton with Armijo backtracking and a diagonal shift.
 
     ``f_and_jac(u, want_jac)`` returns (F, J) with J None when not wanted.
@@ -183,7 +187,7 @@ def _damped_newton(f_and_jac, u0, tol, total_cap=420):
     best = res
     mu = 0.0
     eye = np.eye(u.size)
-    for it in range(total_cap):
+    for it in range(NEWTON_ITERATION_CAP):
         if res <= tol:
             return _last_step(f_and_jac, u, f, jac, res) + (it,)
         merit = 0.5 * float(f @ f)
@@ -364,8 +368,8 @@ def _recover_pair(problem, u_sub, op, tol, iterations):
     v is clamped onto the values verification accepts at u, the graph's
     over u +- tol*(1 + |u|), where it misses them by at most tol times the
     size of the equation's terms at the node, its rounding scale.  Returns
-    the pair and its VerificationReport; raises SolverDiverged when the
-    pair fails verification.
+    the pair carrying its VerificationReport; raises SolverDiverged when
+    the pair fails verification.
     """
     omega = op.rows
     lam_div, size = _equation_terms(problem, op, u_sub)
@@ -375,23 +379,23 @@ def _recover_pair(problem, u_sub, op, tol, iterations):
     for g, mask in _graph_parts(problem, omega):
         lo, hi = _values_near(g, u_sub[mask], delta[mask])
         v[mask] = _clamp_near(v[mask], lo, hi, gap_tol[mask])
+    report = _verify(problem, u_sub, v, tol, op)
+    if not report.passed:
+        raise SolverDiverged(
+            "resolvent Newton pair fails verification: " + "; ".join(report.failures)
+        )
     u_full = np.zeros(problem.space.node_count)
     v_full = np.zeros(problem.space.node_count)
     u_full[omega] = u_sub
     v_full[omega] = v
     eq_res = float(np.max(np.abs(v - lam_div - problem.phi[omega])))
-    pair = SolutionPair(
+    return SolutionPair(
         u=u_full,
         v=v_full,
         residual_inf=eq_res,
         iterations=iterations,
+        verification=report,
     )
-    report = _verify(problem, pair, tol, op)
-    if not report.passed:
-        raise SolverDiverged(
-            "resolvent Newton pair fails verification: " + "; ".join(report.failures)
-        )
-    return pair, report
 
 
 def _resolvent_system(problem, op, mu):
@@ -425,7 +429,7 @@ def _resolvent_system(problem, op, mu):
 
 
 def _resolvent_newton(problem, op, start, tol, reached):
-    """Verified pair and its report from the resolvent Newton at ``start``.
+    """Verified pair from the resolvent Newton at ``start``.
 
     The step is mu = min(1, 1/lambda).  Off the graphs' jumps F is mu
     times the equation's residual, so Newton stops at 1e-12*mu times the
@@ -507,8 +511,7 @@ def _check_domain(problem):
 
 
 def _check_feasible(problem):
-    """The RangeReport; raise RangeInfeasible unless the data integral is
-    inside the range."""
+    """Raise RangeInfeasible unless the data integral is inside the range."""
     report = check_range(problem)
     if not report.feasible:
         raise RangeInfeasible(
@@ -516,7 +519,6 @@ def _check_feasible(problem):
             % (report.integral_phi, report.r_minus, report.r_plus),
             report=report,
         )
-    return report
 
 
 def solve_gp(problem: StationaryProblem, tol: float = DEFAULT_TOL) -> SolutionPair:
@@ -525,22 +527,16 @@ def solve_gp(problem: StationaryProblem, tol: float = DEFAULT_TOL) -> SolutionPa
     Raises RangeInfeasible when the data integral is not strictly inside
     the range bounds, NotConnected for a disconnected domain, and
     SolverDiverged when the resolvent Newton, from zero and once more from
-    the mass-balanced point it reached, yields no verified pair.
+    the mass-balanced point it reached, yields no verified pair.  The pair
+    carries the VerificationReport that accepted it.
     """
-    return _solve_gp(problem, tol)[0]
-
-
-def _solve_gp(problem, tol):
-    """``solve_gp``, with the VerificationReport of the pair and the
-    RangeReport it checked on the way: (pair, verification, range)."""
     _check_domain(problem)
-    feasible = _check_feasible(problem)
-    pair, verification = _solve(problem, problem._operator(), None, tol)
-    return pair, verification, feasible
+    _check_feasible(problem)
+    return _solve(problem, problem._operator(), None, tol)
 
 
 def _solve(problem, op, start, tol):
-    """Solve a checked problem with its operator ``op``: (pair, its report).
+    """Solve a checked problem with its operator ``op``; returns the pair.
 
     ``start`` is a guess for u over Omega, or None for zero.  The resolvent
     Newton runs from it at the step mu = min(1, 1/lambda).  When that
@@ -578,14 +574,16 @@ def _check_q2_hypothesis(problem):
 
 def verify_solution(problem, pair, tol) -> VerificationReport:
     """Inclusion, equation, and conservation checks for a candidate pair."""
-    return _verify(problem, pair, tol, problem._operator())
-
-
-def _verify(problem, pair, tol, op):
-    """``verify_solution`` with the problem's operator ``op`` at hand."""
     omega = problem.partition.omega
     u = np.asarray(pair.u, float)[omega]
     v = np.asarray(pair.v, float)[omega]
+    return _verify(problem, u, v, tol, problem._operator())
+
+
+def _verify(problem, u, v, tol, op):
+    """``verify_solution`` on u and v over Omega, with the problem's
+    operator ``op`` at hand."""
+    omega = problem.partition.omega
     inclusion = 0.0
     delta = tol * (1.0 + np.abs(u))
     for g, mask in _graph_parts(problem, omega):

@@ -311,6 +311,54 @@ def test_batch_directory_returns_worst_code(tmp_path, capsys):
     assert (tmp_path / "out" / "a_good_solution.csv").exists()
 
 
+def test_parallel_batch_matches_the_serial_run(tmp_path, capsys):
+    """--jobs 2 returns the serial run's exit code and writes the same bytes."""
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    write_config(batch, "a_grid.json", stationary_payload(
+        space=GRID_SPACE,
+        partition={"omega1": list(range(5, 20)),
+                   "omega2": list(range(5)) + list(range(20, 25))},
+        flux={"type": "p_laplacian", "p": 3.0}, gamma={"type": "stefan"},
+        phi=[((7 * i) % 11) / 5.0 - 1.0 for i in range(25)]))
+    write_config(batch, "b_bad.json", stationary_payload(
+        gamma={"type": "hele_shaw"}, beta={"type": "hele_shaw"},
+        phi=[3.0, 3.0]))
+    codes = [
+        main(["stationary", "--config", str(batch), "--jobs", jobs,
+              "--out", str(tmp_path / ("jobs" + jobs))])
+        for jobs in ("1", "2")
+    ]
+    capsys.readouterr()
+    assert codes == [2, 2]
+    serial = sorted((tmp_path / "jobs1").iterdir())
+    parallel = sorted((tmp_path / "jobs2").iterdir())
+    assert [p.name for p in serial] == ["a_grid_report.json", "a_grid_solution.csv"]
+    assert [p.name for p in parallel] == [p.name for p in serial]
+    for a, b in zip(serial, parallel):
+        assert a.read_bytes() == b.read_bytes()
+
+
+def test_runner_calls_the_public_solvers(tmp_path, capsys, monkeypatch):
+    """The runner reaches solve_gp and mild_solve by the names a tracer
+    wraps in this module."""
+    calls = []
+    for name in ("solve_gp", "mild_solve"):
+        original = getattr(cli, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    stationary = write_config(tmp_path, "s.json", stationary_payload())
+    evolve = write_config(tmp_path, "e.json", evolve_payload())
+    assert main(["stationary", "--config", str(stationary)]) == 0
+    assert main(["evolve", "--config", str(evolve)]) == 0
+    capsys.readouterr()
+    assert calls == ["solve_gp", "mild_solve"]
+
+
 def test_empty_batch_directory_exits_one(tmp_path, capsys):
     empty = tmp_path / "nothing"
     empty.mkdir()

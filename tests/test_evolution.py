@@ -1,5 +1,6 @@
 """Tests for the implicit-Euler evolution solver and the boundary map."""
 
+import dataclasses
 import time
 
 import numpy as np
@@ -9,6 +10,7 @@ from conftest import random_space
 from nldiff import evolution
 from nldiff.errors import CompatibilityViolated, InvalidParameter
 from nldiff.evolution import (
+    CompatibilityReport,
     EvolutionProblem,
     compatibility_check,
     dtn_apply,
@@ -278,6 +280,48 @@ def test_static_compatibility_nonstrict_window_budget():
     assert not report.passed
 
 
+def ledger_problem():
+    rng = np.random.default_rng(0)
+    space = random_space(rng, 5)
+    f = (np.array([0.0, 0.4, 1.0]), 0.2 * rng.random((2, 3)))
+    return dynamical(space, [0, 1, 2], [3, 4], [0.2, 0.4, 0.3],
+                     w0=rng.random(2), f=f, gamma=make_hele_shaw())
+
+
+def absorbing_problem():
+    return EvolutionProblem(
+        space=TWO_NODE, partition=DomainPartition([0], [1]),
+        flux=P2, gamma=make_hele_shaw(), beta=make_hele_shaw(),
+        mode="static_boundary", v0=np.array([0.5]),
+        f=np.array([0.5]), horizon=1.0,
+    )
+
+
+def dtn_problem():
+    space = random_space(np.random.default_rng(2), 6)
+    w0 = np.random.default_rng(3).random(m_boundary(space, [2, 3]).size)
+    return evolution._dtn_problem(space, [2, 3], P2, None, w0, 0.5)
+
+
+@pytest.mark.parametrize("make_problem, solve", [
+    (ledger_problem, mild_solve),
+    (absorbing_problem, mild_solve),
+    (dtn_problem, lambda problem, n: dtn_evolve(
+        problem.space, problem.partition.omega1, problem.flux, problem.g,
+        problem.w0, problem.horizon, n)),
+], ids=["dynamical", "static", "dtn"])
+def test_trajectory_carries_its_compatibility_report(make_problem, solve):
+    """The solution holds the report compatibility_check gives at its step
+    count, field by field."""
+    problem = make_problem()
+    got = solve(problem, 8).compatibility
+    expected = compatibility_check(problem, 8)
+    assert expected.passed
+    for field in dataclasses.fields(CompatibilityReport):
+        a, b = getattr(got, field.name), getattr(expected, field.name)
+        assert np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b
+
+
 # -- energy ledger -------------------------------------------------------------
 
 def test_strong_residual_heat_flow():
@@ -426,9 +470,9 @@ def step_pairs(monkeypatch):
     solve = evolution._solve
 
     def recording(problem, op, start, tol):
-        pair, report = solve(problem, op, start, tol)
+        pair = solve(problem, op, start, tol)
         seen.append((problem, pair))
-        return pair, report
+        return pair
 
     monkeypatch.setattr(evolution, "_solve", recording)
     return seen

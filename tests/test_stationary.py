@@ -126,13 +126,13 @@ def test_stalled_resolvent_newton_restarts_from_the_mass_balanced_point(monkeypa
         return mass_balanced(*args)
 
     monkeypatch.setattr(stationary, "_mass_balanced", recording)
-    pair, _ = stationary._solve(problem, op, None, DEFAULT_TOL)
+    pair = stationary._solve(problem, op, None, DEFAULT_TOL)
     assert len(restarts) == 1
     assert verify_solution(problem, pair, DEFAULT_TOL).passed
     rng = np.random.default_rng(0)
     for _ in range(200):
         start = rng.uniform(-3.0, 3.0, op.rows.size)
-        pair, _ = stationary._solve(problem, op, start, DEFAULT_TOL)
+        pair = stationary._solve(problem, op, start, DEFAULT_TOL)
         assert verify_solution(problem, pair, DEFAULT_TOL).passed
 
 
@@ -260,6 +260,16 @@ def test_solver_verifies_on_random_instances(seed):
     # v is unique, so the solver must recover the planted values
     omega = problem.partition.omega
     assert np.allclose(pair.v[omega], v_star[omega], atol=5e-7)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_solve_gp_result_carries_its_verification(seed):
+    """The pair's report is the one verify_solution gives on the same pair."""
+    problem, _, _ = forward_instance(seed, max_nodes=10)
+    for tol in (1e-9, 1e-7):
+        pair = solve_gp(problem, tol)
+        assert pair.verification.passed
+        assert pair.verification == verify_solution(problem, pair, tol)
 
 
 @settings(max_examples=20, deadline=None)
