@@ -568,15 +568,14 @@ def _refine(problem, base, doublings):
 # ---------------------------------------------------------------------------
 
 def _conjugate_sum(graph, values, nu, what):
-    total = 0.0
-    for val, weight in zip(values, nu):
-        term = graph.conjugate(float(val))
-        if term == np.inf:
-            raise InvalidParameter(
-                "%s has infinite conjugate energy at value %g" % (what, val)
-            )
-        total += weight * term
-    return total
+    terms = graph.conjugate(values)
+    infinite = terms == np.inf
+    if np.any(infinite):
+        raise InvalidParameter(
+            "%s has infinite conjugate energy at value %g"
+            % (what, values[infinite][0])
+        )
+    return float(nu @ terms)
 
 
 def strong_residual(problem, solution) -> StrongResidualReport:

@@ -15,8 +15,9 @@ stay bit-consistent.
 Resolvents and regularized evaluations never subtract nearly equal
 quantities: each element has a closed form, or a root search (Newton kept
 inside a shrinking bracket) whose accuracy is independent of the
-regularization parameter.  A power piece's regularized value is the piece
-at its resolvent point.
+regularization parameter.  The regularized (Yosida) value is read off the
+resolvent: lam*(s - r) clipped into the graph at r = J_{1/lam}(s), which off
+vertical elements is the piece's value at r.
 """
 from __future__ import annotations
 
@@ -156,27 +157,13 @@ class MonotoneGraph:
     def interval(self, r):
         """Closed value interval at r; raises outside the domain.
 
-        A scalar r gives a pair of floats, an array r a pair of arrays of
-        its shape, elementwise the same as the scalar form.
+        An array r gives a pair of arrays of its shape, a scalar r a pair
+        of floats.  Each element that holds a point of r is evaluated on
+        all of r, so a scalar stays 0-d and takes numpy's scalar power.
         """
-        if np.ndim(r) != 0:
-            return self._interval_array(np.asarray(r, dtype=float))
-        r = float(r)
-        if r < self.domain[0] or r > self.domain[1]:
-            raise InvalidParameter("r=%g outside domain %s" % (r, self.domain))
-        lo, hi = _INF, -_INF
-        for el in self.elements:
-            if el.r0 <= r <= el.r1:
-                if el.kind == "vertical":
-                    lo, hi = min(lo, el.v0), max(hi, el.v1)
-                else:
-                    val = self._piece_at(el, r)
-                    lo, hi = min(lo, val), max(hi, val)
-        return lo, hi
-
-    def _interval_array(self, r):
+        r = np.asarray(r, dtype=float)
         outside = (r < self.domain[0]) | (r > self.domain[1])
-        if np.any(outside):
+        if np.count_nonzero(outside):
             raise InvalidParameter(
                 "r=%g outside domain %s" % (r[outside].flat[0], self.domain)
             )
@@ -184,24 +171,17 @@ class MonotoneGraph:
         hi = np.full(r.shape, -_INF)
         for el in self.elements:
             m = (el.r0 <= r) & (r <= el.r1)
-            if not np.any(m):
+            if not np.count_nonzero(m):
                 continue
             if el.kind == "vertical":
-                lo[m] = np.minimum(lo[m], el.v0)
-                hi[m] = np.maximum(hi[m], el.v1)
+                bot, top = el.v0, el.v1
             else:
-                val = _piece_values(el, r[m])
-                lo[m] = np.minimum(lo[m], val)
-                hi[m] = np.maximum(hi[m], val)
+                bot = top = _piece_values(el, r)
+            np.minimum(lo, bot, out=lo, where=m)
+            np.maximum(hi, top, out=hi, where=m)
+        if r.ndim == 0:
+            return float(lo), float(hi)
         return lo, hi
-
-    @staticmethod
-    def _piece_at(el: El, r: float) -> float:
-        if el.kind == "affine":
-            val = _aff_val(el.p, el.q, r)
-        else:
-            val = _pow_val(el.p, el.q, r)
-        return min(max(val, el.v0), el.v1)
 
     def minimal_section(self, s) -> float:
         s = float(s)
@@ -276,78 +256,52 @@ class MonotoneGraph:
         return out, slope
 
     def yosida(self, lam, s):
-        val, _ = self._yosida_impl(lam, s, want_slope=False)
-        return val
+        return self._yosida_impl(lam, s, want_slope=False)[0]
 
     def yosida_slope(self, lam, s):
         """Regularized value together with a one-sided derivative in s."""
         return self._yosida_impl(lam, s, want_slope=True)
 
     def _yosida_impl(self, lam, s, want_slope):
+        """lam*(s - r) clipped into the graph at r = J_{1/lam}(s), and
+        lam*(1 - dr/ds).  Off vertical elements the graph at r is the
+        piece's value there, so the subtraction decides only on them.  The
+        slope's relative error is about eps*lam/g' where the graph's slope
+        g' is far below lam; it only feeds Newton Jacobians."""
         if lam <= 0:
             raise InvalidParameter("lambda must be positive")
-        scalar = np.isscalar(s) or np.ndim(s) == 0
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        mu = 1.0 / lam
-        sc = self._regions(mu)
-        idx = np.clip(
-            np.searchsorted(sc[1:-1], s, side="right"), 0, len(self.elements) - 1
-        )
-        out = np.empty_like(s)
-        slope = np.empty_like(s) if want_slope else None
-        for i, el in enumerate(self.elements):
-            m = idx == i
-            if not np.any(m):
-                continue
-            sm = s[m]
-            if el.kind == "vertical":
-                raw = lam * (sm - el.r0)
-                out[m] = np.clip(raw, el.v0, el.v1)
-                if want_slope:
-                    slope[m] = np.where((raw > el.v0) & (raw < el.v1), lam, 0.0)
-            elif el.kind == "affine":
-                out[m] = np.clip(
-                    (el.p + el.q * sm) / (1.0 + mu * el.q), el.v0, el.v1
-                )
-                if want_slope:
-                    slope[m] = el.q / (1.0 + mu * el.q)
-            else:
-                # the value at the resolvent point J_mu(s), mu = 1/lam
-                r = _resolvent_power(el, mu, sm)
-                out[m] = _piece_values(el, r)
-                if want_slope:
-                    with np.errstate(divide="ignore", over="ignore"):
-                        t = el.p * el.q * np.abs(r) ** (el.q - 1.0)
-                    slope[m] = np.where(t > 1e300, lam, t / (1.0 + mu * t))
-        if scalar:
+        # a scalar s runs as a 1-element array, so a power piece's value at
+        # r rounds as in the array form
+        s1 = np.atleast_1d(np.asarray(s, dtype=float))
+        r, dr = self._resolvent_impl(1.0 / lam, s1, want_slope)
+        lo, hi = self.interval(r)
+        out = np.clip(lam * (s1 - r), lo, hi)
+        slope = lam * (1.0 - dr) if want_slope else None
+        if np.ndim(s) == 0:
             return (float(out[0]), float(slope[0]) if want_slope else None)
         return out, slope
 
     # -- integration ----------------------------------------------------------
 
-    def primitive(self, r) -> float:
-        """Integral of the minimal section from 0 to r; +inf outside the domain."""
-        r = float(r)
-        if math.isnan(r):
+    def primitive(self, r):
+        """Integral of the minimal section from 0 to r; +inf outside the domain.
+
+        An array r gives an array of its shape, a scalar r a float.
+        """
+        r = np.asarray(r, dtype=float)
+        if np.any(np.isnan(r)):
             raise InvalidParameter("r must not be NaN")
-        if r < self.domain[0] or r > self.domain[1]:
-            return _INF
-        if r == 0.0:
-            return 0.0
-        lo, hi = (r, 0.0) if r < 0 else (0.0, r)
-        sign = -1.0 if r < 0 else 1.0
-        total = 0.0
+        lo, hi = np.minimum(r, 0.0), np.maximum(r, 0.0)
+        total = np.zeros(r.shape)
         for el in self.elements:
             if el.kind == "vertical":
                 continue
-            a = max(el.r0, lo)
-            b = min(el.r1, hi)
-            if a >= b:
-                continue
-            total += _piece_integral(el, a, b)
-            if math.isinf(total):
-                break
-        return sign * total
+            a = np.maximum(el.r0, lo)
+            b = np.minimum(el.r1, hi)
+            total += np.where(a < b, _piece_integral(el, a, b), 0.0)
+        total = np.where(r < 0.0, -total, total)
+        total[(r < self.domain[0]) | (r > self.domain[1])] = _INF
+        return float(total) if r.ndim == 0 else total
 
     def inverse(self) -> "MonotoneGraph":
         if self._inv is None:
@@ -371,7 +325,7 @@ class MonotoneGraph:
             self._inv = MonotoneGraph(els)
         return self._inv
 
-    def conjugate(self, v) -> float:
+    def conjugate(self, v):
         """Convex conjugate of the primitive, as the inverse graph's primitive."""
         return self.inverse().primitive(v)
 
@@ -388,13 +342,10 @@ class MonotoneGraph:
         return self._plus
 
     def split_minus(self) -> "MonotoneGraph":
+        """The reflection r -> -g(-r) of the reflected graph's split_plus."""
         if self._minus is None:
-            bot = self.interval(0.0)[0]
-            els = list(_path_to(self.elements, 0.0, bot))
-            if bot < 0.0:
-                els.append(_vertical(0.0, bot, 0.0))
-            els.append(_affine(0.0, _INF, 0.0, 0.0))
-            self._minus = MonotoneGraph(els)
+            plus = MonotoneGraph(_reflect(self.elements)).split_plus()
+            self._minus = MonotoneGraph(_reflect(plus.elements))
         return self._minus
 
     def scale_values(self, factor) -> "MonotoneGraph":
@@ -441,77 +392,60 @@ def _path_from(elements, r_cut, v_cut):
         if el.kind == "vertical":
             if el.r0 < r_cut or el.v1 <= v_cut:
                 continue
-            if el.r0 == r_cut:
-                if el.v0 < v_cut:
-                    out.append(_clip_el(el, el.r0, el.r1, v_cut, el.v1))
-                else:
-                    out.append(el)
-            else:
-                out.append(el)
-        else:
-            if el.r0 < r_cut:
-                val = MonotoneGraph._piece_at(el, r_cut)
-                out.append(_clip_el(el, r_cut, el.r1, val, el.v1))
-            else:
-                out.append(el)
+            if el.r0 == r_cut and el.v0 < v_cut:
+                el = _clip_el(el, el.r0, el.r1, v_cut, el.v1)
+        elif el.r0 < r_cut:
+            val = float(_piece_values(el, np.asarray(r_cut)))
+            el = _clip_el(el, r_cut, el.r1, val, el.v1)
+        out.append(el)
     return out
 
 
 def _path_to(elements, r_cut, v_cut):
     """The part of the path strictly before the corner (r_cut, v_cut)."""
-    out = []
-    for el in elements:
-        if el.r0 > r_cut or (el.r0 == r_cut and el.kind != "vertical"):
-            continue
-        if el.kind == "vertical":
-            if el.r0 > r_cut or el.v0 >= v_cut:
-                continue
-            if el.r0 == r_cut:
-                if el.v1 > v_cut:
-                    out.append(_clip_el(el, el.r0, el.r1, el.v0, v_cut))
-                else:
-                    out.append(el)
-            else:
-                out.append(el)
-        else:
-            if el.r1 > r_cut:
-                val = MonotoneGraph._piece_at(el, r_cut)
-                out.append(_clip_el(el, el.r0, r_cut, el.v0, val))
-            else:
-                out.append(el)
-    return out
+    return _reflect(_path_from(_reflect(elements), -r_cut, -v_cut))
+
+
+def _reflect(elements):
+    """The path of r -> -graph(-r); power pieces are odd, so they keep c, e."""
+    return [
+        El(el.kind, -el.r1, -el.r0, -el.v1, -el.v0,
+           -el.p if el.kind == "affine" else el.p, el.q)
+        for el in reversed(elements)
+    ]
 
 
 def _piece_values(el: El, r):
-    """``MonotoneGraph._piece_at`` for an array of r on a non-vertical element."""
+    """Values of a non-vertical element at r, clipped to its value range.
+
+    A 0-d r stays 0-d, so a power piece takes numpy's scalar power, which
+    is the C library's; arrays take numpy's vectorized power.
+    """
+    with np.errstate(over="ignore"):
+        if el.kind == "power":
+            # c*|r|**e is +-inf at r = +-inf; + 0.0 turns -0.0 into 0.0
+            val = el.p * np.copysign(np.abs(r) ** el.q, r) + 0.0
+        elif el.q == 0.0:
+            val = np.full_like(r, el.p)  # a + 0*r would be NaN at +-inf
+        else:
+            val = el.p + el.q * r
+    return np.minimum(np.maximum(val, el.v0), el.v1)
+
+
+def _piece_integral(el: El, a, b):
+    """Integral of the piece value over [a, b], elementwise where a < b."""
     with np.errstate(invalid="ignore", over="ignore"):
         if el.kind == "affine":
-            val = np.where(
-                np.isinf(r),
-                el.p if el.q == 0.0 else np.copysign(_INF, r),
-                el.p + el.q * r,
-            )
+            val = el.p * (b - a) + 0.5 * el.q * (b * b - a * a)
         else:
-            val = np.where(
-                np.isinf(r),
-                np.copysign(_INF, r),
-                el.p * np.copysign(np.abs(r) ** el.q, r),
-            )
-            val[r == 0.0] = 0.0
-    return np.clip(val, el.v0, el.v1)
-
-
-def _piece_integral(el: El, a, b) -> float:
-    """Integral of the piece value over [a, b] with a < b."""
-    if math.isinf(a) or math.isinf(b):
-        if el.kind == "affine" and el.p == 0.0 and el.q == 0.0:
-            return 0.0
+            ep1 = el.q + 1.0
+            val = el.p * (np.abs(b) ** ep1 - np.abs(a) ** ep1) / ep1
+    if el.kind == "affine" and el.p == 0.0 and el.q == 0.0:
+        edge = 0.0
+    else:
         # the overlap sits on one side of 0, where the sign is constant
-        return _INF if (math.isinf(b) and b > 0) or a >= 0 else -_INF
-    if el.kind == "affine":
-        return el.p * (b - a) + 0.5 * el.q * (b * b - a * a)
-    ep1 = el.q + 1.0
-    return el.p * (abs(b) ** ep1 - abs(a) ** ep1) / ep1
+        edge = np.where(b == _INF, _INF, -_INF)
+    return np.where(np.isinf(a) | np.isinf(b), edge, val)
 
 
 def _resolvent_power(el: El, mu, s):

@@ -379,7 +379,7 @@ def _recover_pair(problem, u_sub, op, tol, iterations):
     for g, mask in _graph_parts(problem, omega):
         lo, hi = _values_near(g, u_sub[mask], delta[mask])
         v[mask] = _clamp_near(v[mask], lo, hi, gap_tol[mask])
-    report = _verify(problem, u_sub, v, tol, op)
+    report = _verify(problem, u_sub, v, tol, lam_div)
     if not report.passed:
         raise SolverDiverged(
             "resolvent Newton pair fails verification: " + "; ".join(report.failures)
@@ -388,11 +388,10 @@ def _recover_pair(problem, u_sub, op, tol, iterations):
     v_full = np.zeros(problem.space.node_count)
     u_full[omega] = u_sub
     v_full[omega] = v
-    eq_res = float(np.max(np.abs(v - lam_div - problem.phi[omega])))
     return SolutionPair(
         u=u_full,
         v=v_full,
-        residual_inf=eq_res,
+        residual_inf=report.equation_residual,
         iterations=iterations,
         verification=report,
     )
@@ -577,12 +576,12 @@ def verify_solution(problem, pair, tol) -> VerificationReport:
     omega = problem.partition.omega
     u = np.asarray(pair.u, float)[omega]
     v = np.asarray(pair.v, float)[omega]
-    return _verify(problem, u, v, tol, problem._operator())
+    lam_div = problem.lambda_scale * problem._operator().apply(u)
+    return _verify(problem, u, v, tol, lam_div)
 
 
-def _verify(problem, u, v, tol, op):
-    """``verify_solution`` on u and v over Omega, with the problem's
-    operator ``op`` at hand."""
+def _verify(problem, u, v, tol, lam_div):
+    """``verify_solution`` on u and v over Omega, with lam*div u at hand."""
     omega = problem.partition.omega
     inclusion = 0.0
     delta = tol * (1.0 + np.abs(u))
@@ -595,8 +594,7 @@ def _verify(problem, u, v, tol, op):
         lo, hi = _values_near(g, u_part, d_part)
         gap = np.where(v_part > hi, v_part - hi, np.where(v_part < lo, lo - v_part, 0.0))
         inclusion = max(inclusion, float(np.max(gap[~outside], initial=0.0)))
-    div = op.apply(u)
-    eq = float(np.max(np.abs(v - problem.lambda_scale * div - problem.phi[omega])))
+    eq = float(np.max(np.abs(v - lam_div - problem.phi[omega])))
     nu = problem.space.nu[omega]
     mass_v = float((nu * v).sum())
     mass_phi = float((nu * problem.phi[omega]).sum())

@@ -351,6 +351,16 @@ def test_stefan_dissipates_conjugate_energy():
         assert later <= earlier + 1e-10
 
 
+def test_ledger_rejects_a_state_outside_the_conjugate_domain():
+    problem = dynamical(TWO_NODE, [0, 1], [], [0.2, 0.7],
+                        gamma=make_hele_shaw(), horizon=0.5)
+    sol = mild_solve(problem, 4)
+    v = sol.v.copy()
+    v[-1, 1] = 1.5  # Hele-Shaw values lie in [0, 1]
+    with pytest.raises(InvalidParameter, match=r"v\(T\) .* at value 1\.5"):
+        strong_residual(problem, dataclasses.replace(sol, v=v))
+
+
 def test_static_ledger_counts_boundary_work():
     problem = EvolutionProblem(
         space=TWO_NODE, partition=DomainPartition([0], [1]),

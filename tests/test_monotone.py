@@ -18,6 +18,7 @@ from nldiff.monotone import (
     make_stefan,
     make_zero,
 )
+from nldiff.oracle import _interval_fn
 
 BUILTINS = {
     "identity": make_identity(),
@@ -170,8 +171,17 @@ def test_resolvent_slope_matches_central_differences(name):
         fd = (g.resolvent(mu, s + h) - g.resolvent(mu, s - h)) / (2.0 * h)
         np.testing.assert_allclose(d, fd, rtol=1e-6, atol=1e-9,
                                    err_msg="%s at mu=%g" % (name, mu))
+        # the Yosida approximation at lam = 1/mu has the same corners
+        lam = 1.0 / mu
+        w, dw = g.yosida_slope(lam, s)
+        assert np.array_equal(w, g.yosida(lam, s))
+        fd = (g.yosida(lam, s + h) - g.yosida(lam, s - h)) / (2.0 * h)
+        np.testing.assert_allclose(dw, fd, rtol=1e-6, atol=1e-9 * lam,
+                                   err_msg="%s at lam=%g" % (name, lam))
     assert g.resolvent_slope(1.0, 0.5)[1] == pytest.approx(
         float(g.resolvent_slope(1.0, np.array([0.5]))[1][0]))
+    assert g.yosida_slope(1.0, 0.5) == pytest.approx(
+        [float(a[0]) for a in g.yosida_slope(1.0, np.array([0.5]))])
 
 
 def _bisect_power_resolvent(e, mu, s):
@@ -225,8 +235,9 @@ INTERVAL_GRAPHS = dict(
 
 @pytest.mark.parametrize("name", sorted(INTERVAL_GRAPHS))
 def test_interval_array_form_matches_scalar_form(name):
+    # the scalar reference is the oracle's independent per-point closure
     g = INTERVAL_GRAPHS[name]
-    dlo, dhi = g.domain
+    at, dlo, dhi, _ = _interval_fn(g)
     knots = g._corner_r[np.isfinite(g._corner_r)]
     rng = np.random.default_rng(3)
     r = np.concatenate([
@@ -234,14 +245,16 @@ def test_interval_array_form_matches_scalar_form(name):
         [dlo, dhi, 0.0], rng.uniform(-3.0, 3.0, 200),
         rng.uniform(-1e-3, 1e-3, 20),
     ])
-    r = r[(r >= dlo) & (r <= dhi)]
+    r = r[(r >= dlo) & (r <= dhi) & np.isfinite(r)]
     lo, hi = g.interval(r.reshape(-1, 1))
     assert lo.shape == hi.shape == (r.size, 1)
-    scalar = np.array([g.interval(x) for x in r])
+    want_lo, want_hi = np.array([at(x) for x in r]).T
     assert all(type(v) is float for v in g.interval(r[0]))
+    got_lo, got_hi = np.array([g.interval(x) for x in r]).T
     # numpy's vectorized pow may round a power piece one ulp away from the
     # scalar pow; everything else agrees exactly
-    for got, want in ((lo[:, 0], scalar[:, 0]), (hi[:, 0], scalar[:, 1])):
+    for got, want in ((lo[:, 0], want_lo), (hi[:, 0], want_hi),
+                      (got_lo, want_lo), (got_hi, want_hi)):
         with np.errstate(invalid="ignore"):
             close = np.abs(got - want) <= 2.0 * np.spacing(np.abs(want))
         assert np.all((got == want) | close), r[~((got == want) | close)]
@@ -323,6 +336,19 @@ def test_bounded_domain_tail_identity():
 
 # -- primitives and duality ---------------------------------------------------
 
+def _check_array_form(fn, points, outside):
+    """fn on an array equals fn per point, +inf outside the domain, raises
+    on NaN, and gives a float for a 0-d input."""
+    got = fn(np.array(points).reshape(-1, 1))
+    assert got.shape == (len(points), 1)
+    assert np.array_equal(got[:, 0], [fn(x) for x in points])
+    assert np.all(got[[points.index(x) for x in outside], 0] == math.inf)
+    with pytest.raises(InvalidParameter):
+        fn(np.array([0.5, math.nan]))
+    assert type(fn(np.float64(points[0]))) is float
+    assert type(fn(np.array(points[0]))) is float
+
+
 def test_primitive_frozen_values():
     g = make_stefan(1.0)
     assert g.primitive(-2.0) == pytest.approx(2.0)
@@ -332,6 +358,9 @@ def test_primitive_frozen_values():
     assert hs.primitive(3.0) == pytest.approx(3.0)
     obs = BUILTINS["obstacle"]
     assert obs.primitive(2.0) == math.inf
+    points = [-2.0, -0.5, 0.0, 0.7, 1.0, 2.0]
+    for graph, outside in ((g, []), (hs, []), (obs, [-2.0, 2.0])):
+        _check_array_form(graph.primitive, points, outside)
 
 
 def test_conjugate_frozen_values():
@@ -343,6 +372,9 @@ def test_conjugate_frozen_values():
     assert hs.conjugate(0.5) == 0.0
     assert hs.conjugate(-0.1) == math.inf
     assert hs.conjugate(1.5) == math.inf
+    points = [-2.0, -0.1, 0.0, 0.5, 1.0, 1.5, 3.0]
+    for graph, outside in ((g, []), (hs, [-2.0, -0.1, 1.5, 3.0])):
+        _check_array_form(graph.conjugate, points, outside)
 
 
 @settings(max_examples=100, deadline=None)
