@@ -17,7 +17,8 @@ quantities: each element has a closed form, or a root search (Newton kept
 inside a shrinking bracket) whose accuracy is independent of the
 regularization parameter.  The regularized (Yosida) value is read off the
 resolvent: lam*(s - r) clipped into the graph at r = J_{1/lam}(s), which off
-vertical elements is the piece's value at r.
+vertical elements is the piece's value at r; its slope g'/(1 + g'/lam) comes
+from the graph's slope g' at r.
 """
 from __future__ import annotations
 
@@ -218,9 +219,11 @@ class MonotoneGraph:
         1/(1 + mu*b) on an affine piece and 1/(1 + mu*c*e*|r|**(e-1)) at
         r on a power piece.
         """
-        return self._resolvent_impl(mu, s, want_slope=True)
+        return self._resolvent_impl(mu, s, want_slope=True)[:2]
 
     def _resolvent_impl(self, mu, s, want_slope):
+        """J_mu(s), and with want_slope its derivative and the graph's slope
+        at J_mu(s), which is inf on vertical elements."""
         if mu <= 0:
             raise InvalidParameter("mu must be positive")
         scalar = np.isscalar(s) or np.ndim(s) == 0
@@ -230,7 +233,9 @@ class MonotoneGraph:
             np.searchsorted(sc[1:-1], s, side="right"), 0, len(self.elements) - 1
         )
         out = np.empty_like(s)
-        slope = np.empty_like(s) if want_slope else None
+        slope = gslope = None
+        if want_slope:
+            gslope = np.empty_like(s)
         for i, el in enumerate(self.elements):
             m = idx == i
             if not np.any(m):
@@ -239,21 +244,22 @@ class MonotoneGraph:
             if el.kind == "vertical":
                 out[m] = el.r0
                 if want_slope:
-                    slope[m] = 0.0
+                    gslope[m] = _INF
             elif el.kind == "affine":
                 out[m] = np.clip((sm - mu * el.p) / (1.0 + mu * el.q), el.r0, el.r1)
                 if want_slope:
-                    slope[m] = 1.0 / (1.0 + mu * el.q)
+                    gslope[m] = el.q
             else:
                 r = _resolvent_power(el, mu, sm)
                 out[m] = r
                 if want_slope:
                     with np.errstate(divide="ignore", over="ignore"):
-                        t = el.p * el.q * np.abs(r) ** (el.q - 1.0)
-                    slope[m] = 1.0 / (1.0 + mu * t)
+                        gslope[m] = el.p * el.q * np.abs(r) ** (el.q - 1.0)
+        if want_slope:
+            slope = 1.0 / (1.0 + mu * gslope)
         if scalar:
-            return (float(out[0]), float(slope[0]) if want_slope else None)
-        return out, slope
+            return (float(out[0]), float(slope[0]) if want_slope else None, None)
+        return out, slope, gslope
 
     def yosida(self, lam, s):
         return self._yosida_impl(lam, s, want_slope=False)[0]
@@ -263,20 +269,26 @@ class MonotoneGraph:
         return self._yosida_impl(lam, s, want_slope=True)
 
     def _yosida_impl(self, lam, s, want_slope):
-        """lam*(s - r) clipped into the graph at r = J_{1/lam}(s), and
-        lam*(1 - dr/ds).  Off vertical elements the graph at r is the
-        piece's value there, so the subtraction decides only on them.  The
-        slope's relative error is about eps*lam/g' where the graph's slope
-        g' is far below lam; it only feeds Newton Jacobians."""
+        """lam*(s - r) clipped into the graph at r = J_{1/lam}(s), and its
+        derivative g'/(1 + g'/lam) in the graph's slope g' at r, which is
+        lam*(1 - dr/ds) without the cancellation.  Off vertical elements the
+        graph at r is the piece's value there, so the subtraction decides
+        only on them."""
         if lam <= 0:
             raise InvalidParameter("lambda must be positive")
+        mu = 1.0 / lam
         # a scalar s runs as a 1-element array, so a power piece's value at
         # r rounds as in the array form
         s1 = np.atleast_1d(np.asarray(s, dtype=float))
-        r, dr = self._resolvent_impl(1.0 / lam, s1, want_slope)
+        r, _, gslope = self._resolvent_impl(mu, s1, want_slope)
         lo, hi = self.interval(r)
         out = np.clip(lam * (s1 - r), lo, hi)
-        slope = lam * (1.0 - dr) if want_slope else None
+        slope = None
+        if want_slope:
+            # g' is inf on vertical elements and past 1e300 near 0 on a
+            # power piece with e < 1; the slope there is lam
+            with np.errstate(invalid="ignore", over="ignore"):
+                slope = np.where(gslope > 1e300, lam, gslope / (1.0 + mu * gslope))
         if np.ndim(s) == 0:
             return (float(out[0]), float(slope[0]) if want_slope else None)
         return out, slope

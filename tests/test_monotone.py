@@ -1,6 +1,7 @@
 """Tests for maximal monotone graphs: resolvents, regularization, duality."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -184,6 +185,31 @@ def test_resolvent_slope_matches_central_differences(name):
         [float(a[0]) for a in g.yosida_slope(1.0, np.array([0.5]))])
 
 
+@pytest.mark.parametrize("name", ["identity", "zero", "stefan", "power2", "sqrt"])
+def test_yosida_slope_keeps_its_accuracy_for_large_lambda(name):
+    # g'/(1 + g'/lam) at the resolvent point r against exact rational
+    # arithmetic; lam*(1 - dr/ds) would lose eps*lam/g' to cancellation
+    g = BUILTINS[name]
+    s = np.array([-2.5, -0.3, 0.2, 1.7])
+    for lam in 10.0 ** np.arange(-3, 13):
+        _, dw = g.yosida_slope(lam, s)
+        r = g.resolvent(1.0 / lam, s)
+        gprime = np.where(r == 0.0, np.inf, 1.0)  # stefan: s maps onto the jump
+        if name == "zero":
+            gprime = 0.0 * r
+        elif name == "power2":
+            gprime = 2.0 * np.abs(r)
+        elif name == "sqrt":
+            gprime = 0.5 * np.abs(r) ** -0.5
+        want = [lam if np.isinf(t) else
+                float(Fraction(t) / (1 + Fraction(t) / Fraction(lam)))
+                for t in gprime]
+        np.testing.assert_allclose(dw, want, rtol=4e-16, atol=0,
+                                   err_msg="%s at lam=%g" % (name, lam))
+        if name == "identity":
+            assert np.all(dw <= 1.0)
+
+
 def _bisect_power_resolvent(e, mu, s):
     """Root of r + mu*sign(r)*|r|**e = s by 110 plain bisection steps."""
     lo, hi = np.minimum(0.0, s), np.maximum(0.0, s)
@@ -235,7 +261,9 @@ INTERVAL_GRAPHS = dict(
 
 @pytest.mark.parametrize("name", sorted(INTERVAL_GRAPHS))
 def test_interval_array_form_matches_scalar_form(name):
-    # the scalar reference is the oracle's independent per-point closure
+    # the reference is the oracle's independent per-point closure; at an
+    # infinite end of the domain, where a flat piece makes it NaN, the
+    # reference is the range's limit
     g = INTERVAL_GRAPHS[name]
     at, dlo, dhi, _ = _interval_fn(g)
     knots = g._corner_r[np.isfinite(g._corner_r)]
@@ -245,10 +273,15 @@ def test_interval_array_form_matches_scalar_form(name):
         [dlo, dhi, 0.0], rng.uniform(-3.0, 3.0, 200),
         rng.uniform(-1e-3, 1e-3, 20),
     ])
-    r = r[(r >= dlo) & (r <= dhi) & np.isfinite(r)]
+    r = r[(r >= dlo) & (r <= dhi)]
+    assert np.any(np.isinf(r)) == (np.isinf(dlo) or np.isinf(dhi))
     lo, hi = g.interval(r.reshape(-1, 1))
     assert lo.shape == hi.shape == (r.size, 1)
-    want_lo, want_hi = np.array([at(x) for x in r]).T
+    want_lo, want_hi = np.array([
+        at(x) if np.isfinite(x)
+        else (g.range_sup,) * 2 if x > 0 else (g.range_inf,) * 2
+        for x in r
+    ]).T
     assert all(type(v) is float for v in g.interval(r[0]))
     got_lo, got_hi = np.array([g.interval(x) for x in r]).T
     # numpy's vectorized pow may round a power piece one ulp away from the
