@@ -682,7 +682,7 @@ def dtn_apply(space, W, flux, f_boundary):
 
         scale = 1.0 + float(np.max(np.abs(f_boundary)))
         start = np.full(w_nodes.size, float(f_boundary.mean()))
-        z, _, _ = _damped_newton(f_and_jac, start, tol=1e-12 * scale)
+        z, _, _ = _damped_newton(f_and_jac, start, 1e-12 * scale, op.groups)
         u_template[w_nodes] = z
     return neumann_n1(space, flux, u_template, w_nodes)
 

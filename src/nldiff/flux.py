@@ -5,10 +5,17 @@ strictly monotone value with power-type growth and coercivity. The
 operators here are plain weighted sums against the walk kernel, all applied
 by one NonlocalOperator: divergence over a node set and the two flavors of
 Neumann boundary derivative.
+
+The operator keeps the pairs (i, j, m_ij) of its kernel block that are
+nonzero, so a compactly supported kernel costs work in proportion to its
+stencil, not to the square of the node count; a block at least half full
+keeps every entry instead.  It also groups its nodes by breadth-first
+levels, so that the Newton solves on its Jacobian run block-tridiagonally.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +31,10 @@ _VALIDATION_TRIPLES = 1000
 _VALIDATION_SEED = 424243
 # slope() takes the derivative at |r| of at least this, finite for p < 2
 SLOPE_FLOOR = 1e-12
+# the least node count of a group of breadth-first levels (_level_groups):
+# large enough that each block solve is worth a LAPACK call, small enough
+# that the blocks of a grid stay far below its node count
+LEVEL_GROUP_MIN = 64
 
 
 @dataclass(frozen=True)
@@ -160,7 +171,11 @@ class NonlocalOperator:
     over the pairs the integration set keeps ("Q1", or ("Q2", omega2) on a
     square block).  Node vectors are indexed over ``nodes``, the sorted
     union of rows and columns.  The masked kernel block is sliced once,
-    here; the flux is evaluated through ``flux`` on every application.  The
+    here.  ``pair_rows``, ``pair_cols`` and ``weights`` hold its pairs
+    (i, j, m[x_i, y_j]): the nonzero ones sorted by row, whose row sums
+    np.add.reduceat takes, or, for a block at least half full, every entry,
+    with the indices an open mesh that broadcasts over the block.  The flux
+    is evaluated through ``flux`` on those pairs at every application.  The
     differences of the last u are kept, so that a Newton step's residual
     and Jacobian at one u form them once; they are read-only because every
     later call with the same u shares them.
@@ -171,57 +186,160 @@ class NonlocalOperator:
         self.rows = rows
         self.cols = cols
         self.nodes = np.union1d(rows, cols)
-        square = np.array_equal(rows, cols)
         block = space.kernel[np.ix_(rows, cols)]
         if integration_set != "Q1":
-            if not square:
+            if not np.array_equal(rows, cols):
                 raise InvalidParameter("the Q2 pair set needs a square block")
             block = block * pair_mask(space, rows, integration_set)
-        self.kernel = block
-        self.nu = space.nu[rows]
-        self._x = rows[:, None]
-        self._y = cols[None, :]
-        if square:
-            self._r = self._c = self._row_cols = slice(None)
+        self._dense = 2 * np.count_nonzero(block) >= block.size
+        if self._dense:
+            # a block at least half full keeps every entry, indexed by an
+            # open mesh: its terms broadcast and its rows sum over the dense
+            # layout, where index gathers would cost more than the zeros
+            # they skip
+            i, j = np.ix_(np.arange(rows.size), np.arange(cols.size))
+            self.weights = block
         else:
-            self._r = np.searchsorted(self.nodes, rows)
-            self._c = np.searchsorted(self.nodes, cols)
-            self._row_cols = np.searchsorted(cols, rows)
+            i, j = np.nonzero(block)
+            self.weights = block[i, j]
+        self.pair_rows, self.pair_cols = i, j
+        self.nu = space.nu[rows]
+        self._x, self._y = rows[i], cols[j]
+        self._ui = np.searchsorted(self.nodes, rows)[i]
+        self._uj = np.searchsorted(self.nodes, cols)[j]
+        if self._dense:
+            # the Jacobian keeps the columns of the row nodes: on a square
+            # block all of them, taken as a view
+            square = np.array_equal(rows, cols)
+            self._row_cols = slice(None) if square else np.searchsorted(cols, rows)
+        else:
+            starts = np.flatnonzero(np.diff(i, prepend=-1))
+            self._sum_rows, self._sum_starts = i[starts], starts
         self._last_u = self._last_du = None
+
+    @property
+    def kernel(self):
+        """The masked kernel block, rows by columns, as a dense matrix."""
+        block = np.zeros((self.rows.size, self.cols.size))
+        block[self.pair_rows, self.pair_cols] = self.weights
+        return block
+
+    @cached_property
+    def groups(self):
+        """Node groups over the rows for a block-tridiagonal Jacobian solve.
+
+        The breadth-first levels of the Jacobian's pattern, merged into
+        consecutive groups (see ``_level_groups``); group k couples only
+        with groups k - 1 and k + 1.  A full block is one group.
+        """
+        if self._dense:
+            return (np.arange(self.rows.size),)
+        _, i, j = self._jacobian_pairs
+        return _level_groups(self.rows.size, i, j)
+
+    @cached_property
+    def _jacobian_pairs(self):
+        """(k, i, j): the pairs k whose column node is a row node, at row i
+        and column j of the rows x rows Jacobian (a sparse block only)."""
+        node_row = np.full(self.nodes.size, -1)
+        node_row[np.searchsorted(self.nodes, self.rows)] = np.arange(self.rows.size)
+        col_row = node_row[self._uj]
+        pairs = np.flatnonzero(col_row >= 0)
+        return pairs, self.pair_rows[pairs], col_row[pairs]
 
     def _differences(self, u):
         last = self._last_u
         if last is None or last.shape != u.shape or not (last == u).all():
-            du = u[self._c][None, :] - u[self._r][:, None]
+            du = u[self._uj] - u[self._ui]
             du.flags.writeable = False
             self._last_u, self._last_du = u.copy(), du
         return self._last_du
 
+    def _row_sums(self, values):
+        """Sums of per-pair values along each row."""
+        if self._dense:
+            return values.sum(axis=1)
+        out = np.zeros(self.rows.size)
+        if values.size:
+            out[self._sum_rows] = np.add.reduceat(values, self._sum_starts)
+        return out
+
     def apply(self, u):
         """The operator at every row node, for u indexed over ``nodes``."""
-        return self._terms(u).sum(axis=1)
+        return self._row_sums(self._terms(u))
 
     def _terms(self, u):
-        """The kernel-weighted flux values that ``apply`` sums along rows."""
-        return self.kernel * self.flux.evaluate(self._x, self._y, self._differences(u))
+        """The kernel-weighted flux values of the pairs, which ``apply`` sums."""
+        return self.weights * self.flux.evaluate(self._x, self._y, self._differences(u))
 
     def jacobian(self, u):
         """Derivative of ``apply`` with respect to u at the row nodes.
 
-        Rows must lie among the columns.  Uses the floored flux slope.
+        Rows must lie among the columns.  Uses the floored flux slope.  The
+        pair slopes are scattered into a dense rows x rows matrix.
         """
-        w = self.kernel * self.flux.slope(self._x, self._y, self._differences(u))
-        rowsum = w.sum(axis=1)
-        jac = w[:, self._row_cols]
-        jac[np.diag_indices_from(jac)] -= rowsum
+        w = self.weights * self.flux.slope(self._x, self._y, self._differences(u))
+        if self._dense:
+            jac = w[:, self._row_cols]
+        else:
+            pairs, i, j = self._jacobian_pairs
+            jac = np.zeros((self.rows.size, self.rows.size))
+            jac[i, j] = w[pairs]
+        jac[np.diag_indices_from(jac)] -= self._row_sums(w)
         return jac
 
     def pairing(self, u, w):
         """Half the nu-weighted double sum of a(u-differences)·(w-differences)."""
         vals = self.flux.evaluate(self._x, self._y, self._differences(u))
         return 0.5 * float(
-            np.sum(self.nu[:, None] * self.kernel * vals * self._differences(w))
+            np.sum(self.nu[self.pair_rows] * self.weights * vals * self._differences(w))
         )
+
+
+def _level_groups(n, a, b):
+    """Groups of consecutive breadth-first levels of the pattern {(a_k, b_k)}.
+
+    The levels are taken on the pattern made symmetric, one connected
+    component after another, each from a node of least degree (the
+    Cuthill-McKee level structure), so every pair joins nodes of one level
+    or of two neighbouring levels.  Consecutive levels are merged into
+    groups of at least LEVEL_GROUP_MIN nodes, and a last group short of it
+    joins the one before; group k then couples only with groups k - 1 and
+    k + 1.  Returns a tuple of sorted node arrays.  A pattern that yields
+    one group, as every pattern under 2 * LEVEL_GROUP_MIN nodes does,
+    returns (arange(n),): its node order is kept.
+    """
+    if n < 2 * LEVEL_GROUP_MIN:
+        return (np.arange(n),)
+    a, b = np.concatenate([a, b]), np.concatenate([b, a])
+    degree = np.bincount(a, minlength=n)
+    level = np.full(n, -1)
+    sizes = []
+    unreached = np.arange(n)
+    while unreached.size:
+        frontier = np.zeros(n, dtype=bool)
+        frontier[unreached[np.argmin(degree[unreached])]] = True
+        while frontier.any():
+            level[frontier] = len(sizes)
+            sizes.append(int(np.count_nonzero(frontier)))
+            frontier = np.zeros(n, dtype=bool)
+            frontier[b[level[a] == len(sizes) - 1]] = True
+            frontier &= level < 0
+        unreached = np.flatnonzero(level < 0)
+    group_of_level = np.empty(len(sizes), dtype=int)
+    group = filled = 0
+    for k, size in enumerate(sizes):
+        group_of_level[k] = group
+        filled += size
+        if filled >= LEVEL_GROUP_MIN:
+            group, filled = group + 1, 0
+    if filled and group:
+        group_of_level[group_of_level == group] = group - 1
+    if group <= 1:
+        return (np.arange(n),)
+    node_group = group_of_level[level]
+    order = np.argsort(node_group, kind="stable")
+    return tuple(np.split(order, np.cumsum(np.bincount(node_group))[:-1]))
 
 
 def _checked_vector(space, u, nodes, what="u"):

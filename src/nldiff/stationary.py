@@ -167,18 +167,31 @@ def _weighted_bound(mass, bound):
 # shared damped Newton driver
 # ---------------------------------------------------------------------------
 
-def _damped_newton(f_and_jac, u0, tol):
+def _damped_newton(f_and_jac, u0, tol, groups):
     """Semismooth Newton with Armijo backtracking and a diagonal shift.
 
-    ``f_and_jac(u, want_jac)`` returns (F, J) with J None when not wanted.
+    ``f_and_jac(u, want_jac)`` returns (F, J) with J None when not wanted;
+    J is a fresh matrix that Newton may overwrite.  Each step solves with
+    J by ``_block_solve`` over ``groups``, node groups that J couples only
+    between neighbours (``NonlocalOperator.groups``).
     When the plain Newton step fails the line search, the system is
     re-solved with a growing shift on the diagonal, which keeps the step
     useful when kink slopes make the Jacobian nearly singular (p < 2
-    fluxes floor their slope at huge values near zero differences).
+    fluxes floor their slope at huge values near zero differences).  The
+    shift is written onto J's diagonal in place.
     Once the residual is within ``tol``, one last full Newton step on the
     Jacobian at hand is kept if it lowers the residual further, so callers
     that read a quantity off the residual (v from the equation) get it to
     rounding level rather than to the stopping tolerance.
+
+    The block solve pivots only within each block, which is safe because
+    every Jacobian its callers form is weakly row diagonally dominant, with
+    or without the shift: I - D*(I + mu*lam*K) with D in [0, 1] on the
+    resolvent form, diag(slopes >= 0) - lam*K on the regularized form, and
+    -K for the Dirichlet-to-Neumann map, where K = op.jacobian(u) has
+    off-diagonal entries m*a' >= 0 and a diagonal minus their row sum.
+    Schur complements of such a matrix stay dominant, and a singular one
+    raises np.linalg.LinAlgError, which the shift handles.
     Returns (u, residual_inf, iterations); raises SolverDiverged.
     """
     u = np.array(u0, dtype=float)
@@ -186,16 +199,17 @@ def _damped_newton(f_and_jac, u0, tol):
     res = float(np.max(np.abs(f)))
     best = res
     mu = 0.0
-    eye = np.eye(u.size)
     for it in range(NEWTON_ITERATION_CAP):
         if res <= tol:
-            return _last_step(f_and_jac, u, f, jac, res) + (it,)
+            return _last_step(f_and_jac, u, f, jac, res, groups) + (it,)
         merit = 0.5 * float(f @ f)
-        jac_scale = 1.0 + float(np.max(np.abs(np.diag(jac))))
+        diag = np.diag(jac).copy()
+        jac_scale = 1.0 + float(np.max(np.abs(diag)))
         accepted = False
         for _ in range(14):
+            np.fill_diagonal(jac, diag + (1e-12 + mu * jac_scale))
             try:
-                step = np.linalg.solve(jac + (1e-12 + mu * jac_scale) * eye, f)
+                step = _block_solve(jac, f, groups)
             except np.linalg.LinAlgError:
                 step = None
             if step is not None and np.all(np.isfinite(step)):
@@ -225,12 +239,38 @@ def _damped_newton(f_and_jac, u0, tol):
     )
 
 
-def _last_step(f_and_jac, u, f, jac, res):
+def _block_solve(matrix, rhs, groups):
+    """Solve matrix @ x = rhs for a matrix block-tridiagonal over ``groups``.
+
+    ``groups`` partitions the indices, and block (k, l) of the matrix is
+    zero unless |k - l| <= 1.  Block elimination forms the Schur
+    complements forward and back-substitutes; np.linalg.solve pivots
+    within each block only.  One group is np.linalg.solve on the matrix.
+    """
+    if len(groups) == 1:
+        return np.linalg.solve(matrix, rhs)
+    schur = matrix[np.ix_(groups[0], groups[0])]
+    y = rhs[groups[0]]
+    eliminated = []
+    for g, h in zip(groups, groups[1:]):
+        solved = np.linalg.solve(schur, np.column_stack([matrix[np.ix_(g, h)], y]))
+        eliminated.append(solved)
+        lower = matrix[np.ix_(h, g)]
+        schur = matrix[np.ix_(h, h)] - lower @ solved[:, :-1]
+        y = rhs[h] - lower @ solved[:, -1]
+    x = np.empty_like(rhs)
+    x_next = x[groups[-1]] = np.linalg.solve(schur, y)
+    for g, solved in zip(groups[-2::-1], eliminated[::-1]):
+        x_next = x[g] = solved[:, -1] - solved[:, :-1] @ x_next
+    return x
+
+
+def _last_step(f_and_jac, u, f, jac, res, groups):
     """(u, residual_inf) after one full Newton step, if that lowers it."""
     if res == 0.0:
         return u, res
     try:
-        trial = u - np.linalg.solve(jac, f)
+        trial = u - _block_solve(jac, f, groups)
     except np.linalg.LinAlgError:
         return u, res
     ft, _ = f_and_jac(trial, False)
@@ -260,9 +300,8 @@ def default_truncation(problem, n, k):
     return 2.0 * level
 
 
-def _approx_system(problem, n, k, K):
+def _approx_system(problem, op, n, k, K):
     """Residual/Jacobian closure for the regularized system on Omega."""
-    op = problem._operator()
     phi = problem.phi[op.rows]
     lam = problem.lambda_scale
     p = problem.flux.p
@@ -315,12 +354,12 @@ def solve_approximate(problem, n, k, K=None):
         raise InvalidParameter("indices n, k must be at least 1")
     if K is None:
         K = default_truncation(problem, n, k)
-    omega = problem.partition.omega
+    op = problem._operator()
     tol = 1e-11 * (1.0 + _phi_inf(problem))
-    fj = _approx_system(problem, n, k, K)
-    u, _, _ = _damped_newton(fj, np.zeros(omega.size), tol)
+    fj = _approx_system(problem, op, n, k, K)
+    u, _, _ = _damped_newton(fj, np.zeros(op.rows.size), tol, op.groups)
     full = np.zeros(problem.space.node_count)
-    full[omega] = u
+    full[op.rows] = u
     return full
 
 
@@ -352,8 +391,8 @@ def _equation_terms(problem, op, u):
     """
     terms = op._terms(u)
     lam = problem.lambda_scale
-    size = 1.0 + np.abs(problem.phi[op.rows]) + lam * np.abs(terms).sum(axis=1)
-    return lam * terms.sum(axis=1), size
+    size = 1.0 + np.abs(problem.phi[op.rows]) + lam * op._row_sums(np.abs(terms))
+    return lam * op._row_sums(terms), size
 
 
 def _values_near(g, u, delta):
@@ -446,7 +485,9 @@ def _resolvent_newton(problem, op, start, tol, reached):
             reached[0] = u
         return fj(u, want_jac)
 
-    u, _, its = _damped_newton(f_and_jac, start, 1e-12 * mu * float(np.max(size)))
+    u, _, its = _damped_newton(
+        f_and_jac, start, 1e-12 * mu * float(np.max(size)), op.groups
+    )
     # u is within the stopping tolerance of the resolvent image, which lies
     # in the graph's domain; clip it there instead of moving u onto the
     # image, which can shift v = phi + lam*div u by far more than the
@@ -642,7 +683,7 @@ def energy_report(problem, pair):
     p = problem.flux.p
     q = p / (p - 1.0)
     du = np.abs(op._differences(u))
-    energy = float((nu[:, None] * op.kernel * du ** p).sum()) ** (1.0 / q)
+    energy = float((nu[op.pair_rows] * op.weights * du ** p).sum()) ** (1.0 / q)
     nu_total = float(nu.sum())
     lam1, lam2 = _poincare_estimates(
         problem.space, omega, op.kernel, p, (nu_total, 0.5 * nu_total),

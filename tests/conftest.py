@@ -71,25 +71,29 @@ def target_pair(rng, partition, gamma, beta, n):
     degenerate slope manifold that no generic instance exhibits.
     """
     u = np.zeros(n)
-    v = np.zeros(n)
+    t = np.zeros(n)
+    parts = ((partition.omega1, gamma), (partition.omega2, beta))
     anchors = set()
-    for part, g in ((partition.omega1, gamma), (partition.omega2, beta)):
+    for part, g in parts:
         if part.size and (np.isfinite(g.range_inf) or np.isfinite(g.range_sup)):
             anchors.add(part[0])
+    bulk = set(partition.omega1.tolist())
     for node in partition.omega:
-        g = gamma if node in partition.omega1 else beta
-        if node in anchors:
-            u[node] = 0.0
-        else:
+        g = gamma if node in bulk else beta
+        if node not in anchors:
             dlo, dhi = g.domain
             lo_u = max(dlo, -1.0)
             hi_u = min(dhi, 1.0)
             u[node] = lo_u + rng.random() * (hi_u - lo_u)
-        vlo, vhi = g.interval(u[node])
-        vlo = max(vlo, -2.0)
-        vhi = min(vhi, 2.0)
-        t = 0.05 + 0.9 * rng.random()
-        v[node] = vlo + t * (vhi - vlo)
+        t[node] = 0.05 + 0.9 * rng.random()
+    # one interval call per graph part, after the per-node draws
+    v = np.zeros(n)
+    for part, g in parts:
+        if part.size:
+            vlo, vhi = g.interval(u[part])
+            vlo = np.maximum(vlo, -2.0)
+            vhi = np.minimum(vhi, 2.0)
+            v[part] = vlo + t[part] * (vhi - vlo)
     return u, v
 
 

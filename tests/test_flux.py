@@ -1,10 +1,15 @@
 """Tests for flux functions, the nonlocal operator and the operators built on it."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nldiff
 from nldiff.errors import InvalidExponent, InvalidParameter, MissingValues, WeightOutOfRange
 from nldiff.flux import (
     NonlocalOperator,
@@ -16,7 +21,7 @@ from nldiff.flux import (
     pairing_identity,
     weighted_flux,
 )
-from nldiff.space import from_weighted_graph, m_closure
+from nldiff.space import from_kernel_grid, from_weighted_graph, m_closure
 
 RNG_SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -203,7 +208,7 @@ JACOBIAN_FLUXES = {
     "p1.5": p_laplacian_flux(1.5),
     "p2": p_laplacian_flux(2.0),
     "p3": p_laplacian_flux(3.0),
-    "weighted": weighted_flux(2.5, [1.0, 2.0, 0.5, 1.5, 3.0, 1.0, 2.5]),
+    "weighted": weighted_flux(2.5, np.resize([1.0, 2.0, 0.5, 1.5, 3.0, 1.0, 2.5], 36)),
     "custom": custom_flux(
         2.0,
         lambda x, y, r: (2.0 + np.sin(x + y)) * r + r ** 3 / (1.0 + r ** 2),
@@ -213,18 +218,29 @@ JACOBIAN_FLUXES = {
 }
 
 
+def grid_space(side):
+    xs, ys = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
+    points = np.column_stack([xs.ravel(), ys.ravel()]).astype(float)
+    return from_kernel_grid(points, 1.0, {"type": "indicator", "radius": 1.5})
+
+
 @pytest.mark.parametrize("name", sorted(JACOBIAN_FLUXES))
-@pytest.mark.parametrize("block", ["Q1", "Q2", "closure"])
+@pytest.mark.parametrize(
+    "block", ["Q1", "Q2", "closure", "grid-Q1", "grid-Q2", "grid-closure"]
+)
 def test_operator_jacobian_matches_finite_differences(name, block):
     rng = np.random.default_rng(11)
-    space = random_space(rng, 7)
+    # the random space's blocks are at least half full and keep every entry,
+    # the grid's blocks keep only their nonzero pairs
+    grid, _, block = block.rpartition("-")
+    space = grid_space(6) if grid else random_space(rng, 7)
     if block == "closure":
-        rows = space.node_set([1, 4])
+        rows = space.node_set(range(12) if grid else [1, 4])
         cols = m_closure(space, rows)
         assert cols.size > rows.size
         op = NonlocalOperator(space, JACOBIAN_FLUXES[name], rows, cols)
     else:
-        rows = space.node_set(range(7))
+        rows = space.node_set(range(space.node_count))
         iset = "Q1" if block == "Q1" else ("Q2", space.node_set([0, 3, 5]))
         op = NonlocalOperator(space, JACOBIAN_FLUXES[name], rows, rows, iset)
     # node values at least 1e-3 apart, so the slope floor never applies
@@ -236,5 +252,26 @@ def test_operator_jacobian_matches_finite_differences(name, block):
         step[pos] = h
         fd[:, k] = (op.apply(u + step) - op.apply(u - step)) / (2.0 * h)
     jac = op.jacobian(u)
+    assert op._dense == (not grid)
     assert jac.shape == (rows.size, rows.size)
     assert np.allclose(jac, fd, rtol=1e-5, atol=1e-6 * float(np.max(np.abs(fd))))
+
+
+# -- dependencies -------------------------------------------------------------
+
+def test_importing_nldiff_loads_no_scipy():
+    """nldiff runs on numpy alone.  Importing scipy.sparse.linalg raises the
+    peak resident memory of a Python process by about 32 MB (scipy 1.17,
+    x86-64), eight times the 10 % peak-memory bound of the 40 MB
+    free-boundary benchmark workload, so the Newton block solve is numpy."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nldiff.__file__)))
+    code = (
+        "import sys, nldiff, nldiff.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"

@@ -1,6 +1,7 @@
 """Tests for the stationary inclusion solver and its reports."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -11,15 +12,24 @@ from conftest import (
     U_UNIQUE_GRAPHS,
     evolution_instance,
     forward_instance,
+    phi_for_target,
+    random_space,
     scaled_instance,
     sibling_phi,
+    target_pair,
 )
 from nldiff import space as space_module
 from nldiff import stationary
 from nldiff.errors import NotConnected, RangeInfeasible, SolverDiverged
 from nldiff.evolution import mild_solve
-from nldiff.flux import p_laplacian_flux
-from nldiff.monotone import make_hele_shaw, make_identity, make_obstacle, make_stefan
+from nldiff.flux import LEVEL_GROUP_MIN, LerayLionsFlux, NonlocalOperator, p_laplacian_flux
+from nldiff.monotone import (
+    make_hele_shaw,
+    make_identity,
+    make_obstacle,
+    make_power,
+    make_stefan,
+)
 from nldiff.space import (
     DomainPartition,
     estimate_poincare_constant,
@@ -420,6 +430,129 @@ def test_solvers_never_call_the_regularized_solve(monkeypatch):
     mild_solve(trajectory, steps)
 
 
+# -- block-tridiagonal Newton solve ---------------------------------------------
+
+INDICATOR = {"type": "indicator", "radius": 1.5}
+
+
+def grid_points(side):
+    xs, ys = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
+    return np.column_stack([xs.ravel(), ys.ravel()]).astype(float)
+
+
+# pattern -> (space, number of level groups): the 30x30 grid's levels from a
+# corner, two 12x12 grids with no pair between them, a 91 %-dense graph
+LEVEL_PATTERNS = {
+    "grid": (lambda: from_kernel_grid(grid_points(30), 1.0, INDICATOR), 10),
+    "two components": (
+        lambda: from_kernel_grid(
+            np.vstack([grid_points(12), grid_points(12) + 100.0]), 1.0, INDICATOR
+        ),
+        4,
+    ),
+    "dense": (lambda: random_space(np.random.default_rng(5), 160), 1),
+}
+
+
+def whole_operator(space):
+    nodes = np.arange(space.node_count)
+    return NonlocalOperator(space, p_laplacian_flux(2.0), nodes, nodes)
+
+
+def dominant_on(pattern, rng):
+    """A random matrix on the pattern, strictly row diagonally dominant."""
+    m = np.where(pattern, rng.uniform(-1.0, 1.0, pattern.shape), 0.0)
+    np.fill_diagonal(m, 0.0)
+    np.fill_diagonal(m, np.abs(m).sum(axis=1) + rng.uniform(0.0, 1.0, m.shape[0]))
+    return m
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_PATTERNS))
+def test_level_groups_couple_only_neighbours(name):
+    build, count = LEVEL_PATTERNS[name]
+    op = whole_operator(build())
+    n = op.rows.size
+    assert len(op.groups) == count
+    assert np.array_equal(np.sort(np.concatenate(op.groups)), np.arange(n))
+    assert all(g.size >= LEVEL_GROUP_MIN for g in op.groups)
+    group_of = np.empty(n, dtype=int)
+    for k, g in enumerate(op.groups):
+        group_of[g] = k
+    a, b = np.nonzero(op.jacobian(np.random.default_rng(1).standard_normal(n)))
+    assert np.all(np.abs(group_of[a] - group_of[b]) <= 1)
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_PATTERNS))
+def test_block_solve_matches_the_dense_solve(name):
+    op = whole_operator(LEVEL_PATTERNS[name][0]())
+    rng = np.random.default_rng(7)
+    pattern = op.kernel != 0.0
+    for _ in range(3):
+        m = dominant_on(pattern, rng)
+        f = rng.standard_normal(op.rows.size)
+        x = stationary._block_solve(m, f, op.groups)
+        assert np.allclose(x, np.linalg.solve(m, f), rtol=1e-12, atol=1e-13)
+        assert np.max(np.abs(m @ x - f)) <= 1e-13 * np.max(np.abs(f))
+
+
+@pytest.mark.parametrize("space", [
+    random_space(np.random.default_rng(5), 160),
+    from_kernel_grid(grid_points(11), 1.0, INDICATOR),
+], ids=["dense", "121-node grid"])
+def test_one_group_is_the_dense_solve_bit_for_bit(space):
+    op = whole_operator(space)
+    assert len(op.groups) == 1
+    assert np.array_equal(op.groups[0], np.arange(op.rows.size))
+    rng = np.random.default_rng(8)
+    m = dominant_on(op.kernel != 0.0, rng)
+    f = rng.standard_normal(op.rows.size)
+    assert np.array_equal(stationary._block_solve(m, f, op.groups), np.linalg.solve(m, f))
+
+
+def test_grid_solve_works_on_stored_pairs_and_group_blocks(monkeypatch):
+    """On a 30x30 grid, solve_gp passes the flux no more values than the
+    operator stores pairs, and solves no linear system larger than its
+    largest level group."""
+    space = from_kernel_grid(grid_points(30), 1.0, INDICATOR)
+    xs, ys = grid_points(30).T
+    ring = (xs == 0) | (ys == 0) | (xs == 29) | (ys == 29)
+    partition = DomainPartition(np.where(~ring)[0], np.where(ring)[0])
+    gamma, beta, flux = make_power(2.0), make_identity(), p_laplacian_flux(3.0)
+    n = space.node_count
+    u, v = target_pair(np.random.default_rng(3), partition, gamma, beta, n)
+    problem = StationaryProblem(
+        space=space, partition=partition, flux=flux, gamma=gamma, beta=beta,
+        phi=phi_for_target(space, partition, flux, u, v, 1.0),
+    )
+    op = problem._operator()
+    pairs = op.weights.size
+    largest = max(g.size for g in op.groups)
+    assert pairs < 10 * n and largest < n // 4
+    flux_sizes, solve_sizes = [], []
+
+    def recording(method, sizes, size_of):
+        def recorded(*args):
+            sizes.append(size_of(*args))
+            return method(*args)
+        return recorded
+
+    for name in ("evaluate", "slope"):
+        method = getattr(LerayLionsFlux, name)
+        monkeypatch.setattr(
+            LerayLionsFlux, name,
+            recording(method, flux_sizes, lambda self, x, y, r: np.size(r)),
+        )
+    monkeypatch.setattr(
+        np.linalg, "solve",
+        recording(np.linalg.solve, solve_sizes, lambda a, b: a.shape[0]),
+    )
+    pair = solve_gp(problem)
+    monkeypatch.undo()
+    assert verify_solution(problem, pair, DEFAULT_TOL).passed
+    assert flux_sizes and max(flux_sizes) <= pairs
+    assert solve_sizes and max(solve_sizes) <= largest
+
+
 # -- approximate problems ------------------------------------------------------
 
 def test_one_node_approximate_frozen():
@@ -464,7 +597,8 @@ def test_energy_report_shape():
 def test_energy_report_shares_one_probe_set(monkeypatch, integration_set):
     """The two Poincare estimates of energy_report equal two public calls
     bit for bit, while each probe's gradient is scored once for both, and
-    the gradient energy is its definition on the problem's pair set."""
+    the gradient energy is its definition on the problem's pair set, up to
+    the order in which its nonnegative terms are summed."""
     side = 8
     xs, ys = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
     points = np.column_stack([xs.ravel(), ys.ravel()]).astype(float)
@@ -504,7 +638,13 @@ def test_energy_report_shares_one_probe_set(monkeypatch, integration_set):
     op = problem._operator()
     u = pair.u[omega]
     du = np.abs(u[None, :] - u[:, None])
-    assert energy == float((op.nu[:, None] * op.kernel * du ** 3.0).sum()) ** (2.0 / 3.0)
+    terms = (op.nu[:, None] * op.kernel * du ** 3.0).ravel()
+    exact = math.fsum(terms) ** (2.0 / 3.0)
+    # any order of summing n nonnegative terms errs by at most (n - 1)*eps/2
+    # relative to the exact sum; the 2/3 power shrinks that and adds one rounding
+    eps = np.finfo(float).eps
+    summed = np.count_nonzero(terms)
+    assert abs(energy - exact) <= ((summed - 1) * eps / 2 + eps) * exact
 
 
 def test_verify_solution_flags_bad_pairs():
