@@ -593,8 +593,7 @@ def strong_residual(problem, solution) -> StrongResidualReport:
     nu1 = space.nu[o1]
     nu2 = space.nu[o2]
     omega = problem.partition.omega
-    pos1 = np.searchsorted(omega, o1)
-    pos2 = np.searchsorted(omega, o2)
+    boundary = problem.partition.boundary_mask
     n = solution.step_count
     tau = problem.horizon / n
     dynamical = problem.mode == "dynamical"
@@ -616,10 +615,10 @@ def strong_residual(problem, solution) -> StrongResidualReport:
         div = op.apply(u_omega)
         forcing = solution.f_averages[i - 1]
         rate = (solution.v[i] - solution.v[i - 1]) / tau
-        res = rate - div[pos1] - forcing[o1]
+        res = rate - div[~boundary] - forcing[o1]
         if dynamical and o2.size:
             rate_w = (solution.w[i] - solution.w[i - 1]) / tau
-            res = np.concatenate([res, rate_w - div[pos2] - forcing[o2]])
+            res = np.concatenate([res, rate_w - div[boundary] - forcing[o2]])
         step_residuals[i - 1] = float(np.max(np.abs(res))) if res.size else 0.0
         pairing_sum += tau * op.pairing(u_omega, u_omega)
         source_work += tau * float((space.nu * forcing) @ u)

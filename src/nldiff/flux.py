@@ -6,10 +6,10 @@ operators here are plain weighted sums against the walk kernel, all applied
 by one NonlocalOperator: divergence over a node set and the two flavors of
 Neumann boundary derivative.
 
-The operator keeps the pairs (i, j, m_ij) of its kernel block that are
-nonzero, so a compactly supported kernel costs work in proportion to its
-stencil, not to the square of the node count; a block at least half full
-keeps every entry instead.  It also groups its nodes by breadth-first
+The operator keeps the nonzero pairs (i, j, m_ij) of its kernel block, as
+the space gives them, so a compactly supported kernel costs work in
+proportion to its stencil; a block at least half full scatters them into
+the dense block instead.  It groups its nodes by the space's breadth-first
 levels, so that the Newton solves on its Jacobian run block-tridiagonally.
 """
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import (
     MissingValues,
     WeightOutOfRange,
 )
-from .space import m_boundary, m_closure, pair_mask
+from .space import breadth_first_levels, m_boundary, m_closure
 
 _VALIDATION_TRIPLES = 1000
 _VALIDATION_SEED = 424243
@@ -168,17 +168,18 @@ class NonlocalOperator:
 
         apply(u)[i] = sum_j m[x_i, y_j] * a(x_i, y_j, u(y_j) - u(x_i))
 
-    over the pairs the integration set keeps ("Q1", or ("Q2", omega2) on a
-    square block).  Node vectors are indexed over ``nodes``, the sorted
-    union of rows and columns.  The masked kernel block is sliced once,
-    here.  ``pair_rows``, ``pair_cols`` and ``weights`` hold its pairs
-    (i, j, m[x_i, y_j]): the nonzero ones sorted by row, whose row sums
-    np.add.reduceat takes, or, for a block at least half full, every entry,
-    with the indices an open mesh that broadcasts over the block.  The flux
-    is evaluated through ``flux`` on those pairs at every application.  The
-    differences of the last u are kept, so that a Newton step's residual
-    and Jacobian at one u form them once; they are read-only because every
-    later call with the same u shares them.
+    over the pairs the integration set keeps ("Q1" or ("Q2", omega2)).
+    Node vectors are indexed over ``nodes``, the sorted union of rows and
+    columns.  The block's pairs are taken from the space once, here, and
+    kept as ``pairs``.  ``pair_rows``, ``pair_cols`` and ``weights`` hold
+    them (i, j, m[x_i, y_j]): the nonzero ones sorted by row, whose row sums
+    np.add.reduceat takes, or, for a block at least half full, every entry
+    of the dense block they scatter into, with the indices an open mesh
+    that broadcasts over the block.  The flux is evaluated through
+    ``flux`` on those pairs at every application.  The differences of the
+    last u are kept, so that a Newton step's residual and Jacobian at one u
+    form them once; they are read-only because every later call with the
+    same u shares them.
     """
 
     def __init__(self, space, flux, rows, cols, integration_set="Q1"):
@@ -186,28 +187,18 @@ class NonlocalOperator:
         self.rows = rows
         self.cols = cols
         self.nodes = np.union1d(rows, cols)
-        block = space.kernel[np.ix_(rows, cols)]
-        if integration_set != "Q1":
-            if not np.array_equal(rows, cols):
-                raise InvalidParameter("the Q2 pair set needs a square block")
-            block = block * pair_mask(space, rows, integration_set)
-        self._dense = 2 * np.count_nonzero(block) >= block.size
+        self.pairs = space.block_pairs(rows, cols, integration_set)
+        i, j, self.weights = self.pairs
+        self._dense = 2 * self.weights.size >= rows.size * cols.size
         if self._dense:
             # a block at least half full keeps every entry, indexed by an
             # open mesh: its terms broadcast and its rows sum over the dense
             # layout, where index gathers would cost more than the zeros
             # they skip
-            i, j = np.ix_(np.arange(rows.size), np.arange(cols.size))
+            block = np.zeros((rows.size, cols.size))
+            block[i, j] = self.weights
             self.weights = block
-        else:
-            i, j = np.nonzero(block)
-            self.weights = block[i, j]
-        self.pair_rows, self.pair_cols = i, j
-        self.nu = space.nu[rows]
-        self._x, self._y = rows[i], cols[j]
-        self._ui = np.searchsorted(self.nodes, rows)[i]
-        self._uj = np.searchsorted(self.nodes, cols)[j]
-        if self._dense:
+            i, j = np.ix_(np.arange(rows.size), np.arange(cols.size))
             # the Jacobian keeps the columns of the row nodes: on a square
             # block all of them, taken as a view
             square = np.array_equal(rows, cols)
@@ -215,14 +206,12 @@ class NonlocalOperator:
         else:
             starts = np.flatnonzero(np.diff(i, prepend=-1))
             self._sum_rows, self._sum_starts = i[starts], starts
+        self.pair_rows, self.pair_cols = i, j
+        self.nu = space.nu[rows]
+        self._x, self._y = rows[i], cols[j]
+        self._ui = np.searchsorted(self.nodes, rows)[i]
+        self._uj = np.searchsorted(self.nodes, cols)[j]
         self._last_u = self._last_du = None
-
-    @property
-    def kernel(self):
-        """The masked kernel block, rows by columns, as a dense matrix."""
-        block = np.zeros((self.rows.size, self.cols.size))
-        block[self.pair_rows, self.pair_cols] = self.weights
-        return block
 
     @cached_property
     def groups(self):
@@ -299,33 +288,16 @@ class NonlocalOperator:
 def _level_groups(n, a, b):
     """Groups of consecutive breadth-first levels of the pattern {(a_k, b_k)}.
 
-    The levels are taken on the pattern made symmetric, one connected
-    component after another, each from a node of least degree (the
-    Cuthill-McKee level structure), so every pair joins nodes of one level
-    or of two neighbouring levels.  Consecutive levels are merged into
-    groups of at least LEVEL_GROUP_MIN nodes, and a last group short of it
-    joins the one before; group k then couples only with groups k - 1 and
-    k + 1.  Returns a tuple of sorted node arrays.  A pattern that yields
-    one group, as every pattern under 2 * LEVEL_GROUP_MIN nodes does,
-    returns (arange(n),): its node order is kept.
+    Consecutive ``breadth_first_levels`` are merged into groups of at least
+    LEVEL_GROUP_MIN nodes, and a last group short of it joins the one
+    before; group k then couples only with groups k - 1 and k + 1.  Returns
+    a tuple of sorted node arrays.  A pattern that yields one group, as
+    every pattern under 2 * LEVEL_GROUP_MIN nodes does, returns
+    (arange(n),): its node order is kept.
     """
     if n < 2 * LEVEL_GROUP_MIN:
         return (np.arange(n),)
-    a, b = np.concatenate([a, b]), np.concatenate([b, a])
-    degree = np.bincount(a, minlength=n)
-    level = np.full(n, -1)
-    sizes = []
-    unreached = np.arange(n)
-    while unreached.size:
-        frontier = np.zeros(n, dtype=bool)
-        frontier[unreached[np.argmin(degree[unreached])]] = True
-        while frontier.any():
-            level[frontier] = len(sizes)
-            sizes.append(int(np.count_nonzero(frontier)))
-            frontier = np.zeros(n, dtype=bool)
-            frontier[b[level[a] == len(sizes) - 1]] = True
-            frontier &= level < 0
-        unreached = np.flatnonzero(level < 0)
+    level, sizes, _ = breadth_first_levels(n, a, b)
     group_of_level = np.empty(len(sizes), dtype=int)
     group = filled = 0
     for k, size in enumerate(sizes):

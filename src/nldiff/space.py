@@ -5,6 +5,10 @@ and a node measure that is reversible for it.  Everything downstream
 (divergence operators, solvers, time stepping) consumes these objects
 read-only, so they validate once at construction and are immutable
 afterwards.
+
+A space keeps its kernel's nonzero pairs, and every sum over the walk
+takes its block of them from :meth:`FiniteRandomWalkSpace.block_pairs`.
+:func:`breadth_first_levels` serves connectivity and the Newton groups.
 """
 from __future__ import annotations
 
@@ -37,7 +41,8 @@ class FiniteRandomWalkSpace:
     nu : (n,) array_like
         Strictly positive node measure, reversible for the kernel:
         nu[x] * kernel[x, y] == nu[y] * kernel[y, x] within 1e-12 of the
-        measure scale.
+        measure scale.  ``reversibility_gap`` keeps the largest
+        |nu[x] * kernel[x, y] - nu[y] * kernel[y, x]| found.
 
     Raises
     ------
@@ -67,8 +72,11 @@ class FiniteRandomWalkSpace:
                 "kernel rows must sum to 1 within %g (worst %.3e)"
                 % (ROW_SUM_TOL, float(np.max(np.abs(row_sums - 1.0))))
             )
-        weighted = nu[:, None] * kernel
-        gap = float(np.max(np.abs(weighted - weighted.T)))
+        # the nonzero pairs in row order, 32-bit indexed; off them the gap is 0
+        support = kernel != 0.0
+        rows, cols = (a.astype(np.int32) for a in np.nonzero(support))
+        weights = kernel[support]
+        gap = float(np.max(np.abs(nu[rows] * weights - nu[cols] * kernel[cols, rows])))
         if gap > REVERSIBILITY_TOL * float(np.max(nu)):
             raise InvalidParameter(
                 "nu is not reversible for the kernel (gap %.3e)" % gap
@@ -78,6 +86,28 @@ class FiniteRandomWalkSpace:
         self.kernel = kernel
         self.nu = nu
         self.node_count = n
+        self.reversibility_gap = gap
+        self._pair_rows, self._pair_cols, self._pair_weights = rows, cols, weights
+
+    def block_pairs(self, rows, cols, integration_set="Q1"):
+        """(i, j, m): the pairs of the block at sorted node arrays ``rows``
+        x ``cols`` with m = kernel[rows[i], cols[j]] > 0, in the order of
+        ``np.nonzero`` on the dense block.  ``integration_set`` "Q1" keeps
+        them all, ("Q2", omega2) drops those with both nodes in omega2.
+        """
+        i = np.full(self.node_count, -1)
+        j = np.full(self.node_count, -1)
+        i[rows], j[cols] = np.arange(rows.size), np.arange(cols.size)
+        i, j = i[self._pair_rows], j[self._pair_cols]
+        keep = (i >= 0) & (j >= 0)
+        if integration_set != "Q1":
+            if not (isinstance(integration_set, tuple) and len(integration_set) == 2
+                    and integration_set[0] == "Q2"):
+                raise InvalidParameter("integration_set must be 'Q1' or ('Q2', omega2)")
+            in2 = np.zeros(self.node_count, dtype=bool)
+            in2[self.node_set(integration_set[1])] = True
+            keep &= ~(in2[self._pair_rows] & in2[self._pair_cols])
+        return i[keep], j[keep], self._pair_weights[keep]
 
     def node_set(self, nodes) -> np.ndarray:
         """Normalize ``nodes`` to a sorted unique index array, validating range."""
@@ -99,11 +129,44 @@ class FiniteRandomWalkSpace:
         )
 
 
+def breadth_first_levels(n, i, j):
+    """Breadth-first levels of the row-sorted pairs (i, j) on positions 0..n-1.
+
+    The pattern is symmetric, as a reversible kernel's support is.  Each
+    component is searched from an unreached position of least degree (the
+    Cuthill-McKee level structure), each level grown from the one before
+    through the row starts of the pairs, so every pair joins one level or
+    two neighbouring ones.  Returns (level of each position, numbered on
+    across components; size of each level; number of components).
+    """
+    degree = np.bincount(i, minlength=n)
+    row_starts = np.cumsum(degree) - degree
+    level, sizes, components = np.full(n, -1), [], 0
+    unreached = np.arange(n)
+    while unreached.size:
+        frontier = unreached[[np.argmin(degree[unreached])]]
+        components += 1
+        while frontier.size:
+            level[frontier] = len(sizes)
+            sizes.append(frontier.size)
+            # the neighbours: the frontier's row ranges of j, concatenated
+            counts = degree[frontier]
+            ends = np.cumsum(counts)
+            offsets = np.repeat(row_starts[frontier] - ends + counts, counts)
+            reached = np.zeros(n, dtype=bool)
+            reached[j[np.arange(ends[-1]) + offsets]] = True
+            frontier = np.flatnonzero(reached & (level < 0))
+        unreached = np.flatnonzero(level < 0)
+    return level, sizes, components
+
+
 @dataclass(frozen=True)
 class DomainPartition:
     """Disjoint split of the working domain into a bulk and a boundary region.
 
-    Either part may be empty, but not both.  Stored as sorted index arrays.
+    Either part may be empty, but not both.  Stored as sorted index arrays,
+    with ``omega`` their union and ``boundary_mask`` marking omega2 over it;
+    all four are computed once and read-only.
     """
 
     omega1: np.ndarray
@@ -116,12 +179,11 @@ class DomainPartition:
             raise InvalidParameter("partition must cover at least one node")
         if np.intersect1d(o1, o2).size:
             raise InvalidParameter("omega1 and omega2 must be disjoint")
-        object.__setattr__(self, "omega1", o1)
-        object.__setattr__(self, "omega2", o2)
-
-    @property
-    def omega(self) -> np.ndarray:
-        return np.union1d(self.omega1, self.omega2)
+        omega = np.union1d(o1, o2)
+        for name, value in (("omega1", o1), ("omega2", o2), ("omega", omega),
+                            ("boundary_mask", np.isin(omega, o2))):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +316,8 @@ def from_kernel_grid(points, spacing, kernel_profile) -> FiniteRandomWalkSpace:
 def m_boundary(space: FiniteRandomWalkSpace, W) -> np.ndarray:
     """Nodes outside W that jump into W with positive probability."""
     W = space.node_set(W)
-    if W.size == 0:
-        return W
-    inside = np.zeros(space.node_count, dtype=bool)
-    inside[W] = True
-    mass_into_W = space.kernel[:, W].sum(axis=1)
-    return np.where(~inside & (mass_into_W > 0))[0]
+    jumpers, _, _ = space.block_pairs(np.arange(space.node_count), W)
+    return np.setdiff1d(jumpers, W)
 
 
 def m_closure(space: FiniteRandomWalkSpace, W) -> np.ndarray:
@@ -272,66 +330,34 @@ def interaction(space: FiniteRandomWalkSpace, A, B) -> float:
     """Total jump flux sum_{x in A} nu_x * m_x(B); symmetric in (A, B)."""
     A = space.node_set(A)
     B = space.node_set(B)
-    if A.size == 0 or B.size == 0:
-        return 0.0
-    block = space.kernel[np.ix_(A, B)]
-    return float((space.nu[A] * block.sum(axis=1)).sum())
+    i, _, m = space.block_pairs(A, B)
+    return float((space.nu[A] * np.bincount(i, weights=m, minlength=A.size)).sum())
 
 
 def is_m_connected(space: FiniteRandomWalkSpace, omega) -> bool:
     """Whether every nontrivial split of omega has positive interaction.
 
-    On a finite space this is plain connectivity of the support graph
-    restricted to omega, with kernel links taken in both directions. It is
-    checked here by a breadth-first search that grows the reached set one
-    whole frontier at a time; the exhaustive bipartition characterization
-    is exercised in tests.
+    On a finite space this is one component of :func:`breadth_first_levels`
+    on the kernel's support restricted to omega; the exhaustive bipartition
+    characterization is exercised in tests.
     """
     omega = space.node_set(omega)
     if omega.size == 0:
         raise InvalidParameter("omega must be nonempty")
-    linked = space.kernel[np.ix_(omega, omega)] > 0
-    linked = linked | linked.T
-    reached = np.zeros(omega.size, dtype=bool)
-    reached[0] = True
-    frontier = reached.copy()
-    while frontier.any():
-        frontier = linked[frontier].any(axis=0) & ~reached
-        reached |= frontier
-    return bool(reached.all())
+    i, j, _ = space.block_pairs(omega, omega)
+    return breadth_first_levels(omega.size, i, j)[2] == 1
 
 
 # ---------------------------------------------------------------------------
 # Poincaré diagnostics
 # ---------------------------------------------------------------------------
 
-def pair_mask(space, omega, integration_set):
-    """Boolean mask over omega x omega for the requested interaction set.
-
-    ``integration_set`` is "Q1" (all pairs) or a tuple ("Q2", omega2)
-    which removes pairs with both endpoints in omega2.
-    """
-    n = omega.size
-    mask = np.ones((n, n), dtype=bool)
-    if integration_set == "Q1":
-        return mask
-    if (
-        isinstance(integration_set, tuple)
-        and len(integration_set) == 2
-        and integration_set[0] == "Q2"
-    ):
-        omega2 = space.node_set(integration_set[1])
-        in2 = np.isin(omega, omega2)
-        mask[np.ix_(in2, in2)] = False
-        return mask
-    raise InvalidParameter("integration_set must be 'Q1' or ('Q2', omega2)")
-
-
 def poincare_ratio(space, omega, integration_set, u, Z, p) -> float:
     """Ratio of the L^p norm of u to its gradient energy plus mean anchor.
 
-    Returns ``inf`` when the denominator vanishes while u does not, and 0
-    for u identically zero on omega.
+    ``integration_set`` is as :meth:`FiniteRandomWalkSpace.block_pairs`
+    takes it.  Returns ``inf`` when the denominator vanishes while u does
+    not, and 0 for u identically zero on omega.
     """
     omega = space.node_set(omega)
     if omega.size == 0:
@@ -352,10 +378,8 @@ def poincare_ratio(space, omega, integration_set, u, Z, p) -> float:
     uo = u[omega]
     nu_o = space.nu[omega]
     num = float((nu_o * np.abs(uo) ** p).sum()) ** (1.0 / p)
-    mask = pair_mask(space, omega, integration_set)
-    du = uo[None, :] - uo[:, None]
-    kern = space.kernel[np.ix_(omega, omega)] * mask
-    grad = float((nu_o[:, None] * kern * np.abs(du) ** p).sum()) ** (1.0 / p)
+    i, j, m = space.block_pairs(omega, omega, integration_set)
+    grad = _gradient_energy((i, j, nu_o[i] * m), uo, p) ** (1.0 / p)
     anchor = abs(float((space.nu[Z] * u[Z]).sum()))
     return _ratio(num, grad + anchor)
 
@@ -382,42 +406,46 @@ def estimate_poincare_constant(
 
     The deterministic probes are scored in closed form, with no pass of
     :func:`poincare_ratio`: the constant vector has no gradient, and the
-    gradient energy of the coordinate vector e_x is the x-th row plus the
-    x-th column sum of nu*k over the masked kernel block without its
-    diagonal (a self-loop adds nothing to a gradient), which by
-    reversibility is 2*nu_x*sum_{j != x} k_xj.  So the ratio of e_x is
-    nu_x^(1/p) / ((2*nu_x*sum_{j != x} k_xj)^(1/p) + nu_x).  The block is
-    sliced and masked once, and each random probe costs one pass over it,
-    so the estimate costs O(probe_count * n^2) on n nodes of omega.
+    gradient energy of the coordinate vector e_x is the sum of nu*k over
+    the masked pairs that hold x, with (x, x) weighing zero (a self-loop
+    adds nothing to a gradient), which by reversibility is
+    2*nu_x*sum_{j != x} k_xj.  So the ratio of e_x is
+    nu_x^(1/p) / ((2*nu_x*sum_{j != x} k_xj)^(1/p) + nu_x).  The block's
+    pairs are taken once, and each random probe costs one pass over them,
+    so the estimate costs O(probe_count * pairs) on the pairs of omega.
     """
     omega = space.node_set(omega)
-    kern = space.kernel[np.ix_(omega, omega)] * pair_mask(space, omega, integration_set)
-    return _poincare_estimates(space, omega, kern, p, (l,), probe_count, seed)[0]
+    pairs = space.block_pairs(omega, omega, integration_set)
+    return _poincare_estimates(space, omega, pairs, p, (l,), probe_count, seed)[0]
 
 
-def _gradient_energy(weighted, u, p):
-    """sum_ij weighted_ij * |u_j - u_i|^p: one pass over a kernel block."""
-    return float((weighted * np.abs(u[None, :] - u[:, None]) ** p).sum())
+def _gradient_energy(pairs, u, p):
+    """sum_k w_k * |u_(j_k) - u_(i_k)|^p over weighted pairs (i, j, w)."""
+    i, j, w = pairs
+    return float((w * np.abs(u[j] - u[i]) ** p).sum())
 
 
-def _coordinate_ratios(nu, weighted, p):
+def _coordinate_ratios(nu, pairs, p):
     """:func:`poincare_ratio` of every coordinate vector e_x, anchored by omega.
 
-    ``weighted`` is nu*k over the masked block, without its diagonal.  The
-    gradient energy of e_x is its x-th row plus its x-th column sum, its
-    L^p norm nu_x^(1/p) and its anchor nu_x.
+    ``pairs`` are the weighted pairs (i, j, nu_i*k_ij) of the masked block,
+    with the pairs (x, x) weighing zero.  The gradient energy of e_x is the
+    sum of their weights over the pairs that hold x, its L^p norm
+    nu_x^(1/p) and its anchor nu_x.
     """
-    grads = (weighted.sum(axis=1) + weighted.sum(axis=0)) ** (1.0 / p)
-    return nu ** (1.0 / p) / (grads + nu)
+    i, j, w = pairs
+    grads = np.bincount(i, w, nu.size) + np.bincount(j, w, nu.size)
+    return nu ** (1.0 / p) / (grads ** (1.0 / p) + nu)
 
 
-def _poincare_estimates(space, omega, kern, p, levels, probe_count, seed):
+def _poincare_estimates(space, omega, pairs, p, levels, probe_count, seed):
     """:func:`estimate_poincare_constant` at each anchor measure in ``levels``.
 
-    ``kern`` is the kernel block over the sorted node array ``omega``
-    times its pair mask.  The random probes depend on the seed alone, so
-    every level scores the same probe vectors and gradients, and only the
-    anchor sets differ; each value equals a separate public call.
+    ``pairs`` are :meth:`FiniteRandomWalkSpace.block_pairs` of the masked
+    block over the sorted node array ``omega``.  The random probes depend
+    on the seed alone, so every level scores the same probe vectors and
+    gradients, and only the anchor sets differ; each value equals a
+    separate public call.
     """
     if not is_m_connected(space, omega):
         raise NotConnected("omega must be m-connected for the probe estimate")
@@ -427,8 +455,9 @@ def _poincare_estimates(space, omega, kern, p, levels, probe_count, seed):
     if p <= 1:
         raise InvalidParameter("p must exceed 1")
     nu = space.nu[omega]
-    weighted = nu[:, None] * kern
-    np.fill_diagonal(weighted, 0.0)  # a self-loop adds nothing to a gradient
+    i, j, m = pairs
+    # a self-loop adds nothing to a gradient: its pairs weigh zero
+    weighted = (i, j, np.where(i == j, 0.0, nu[i] * m))
     # the constant vector has no gradient and is anchored by all of omega
     best = max(_ratio(total ** (1.0 / p), total),
                float(np.max(_coordinate_ratios(nu, weighted, p))))

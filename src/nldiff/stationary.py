@@ -308,7 +308,7 @@ def _approx_system(problem, op, n, k, K):
     inv_n, inv_k = 1.0 / n, 1.0 / k
     parts = [
         (mask, g.split_plus(), g.split_minus())
-        for g, mask in _graph_parts(problem, op.rows)
+        for g, mask in _graph_parts(problem)
     ]
 
     def f_and_jac(u, want_jac):
@@ -367,9 +367,9 @@ def solve_approximate(problem, n, k, K=None):
 # limit solve
 # ---------------------------------------------------------------------------
 
-def _graph_parts(problem, omega):
-    """(graph, mask over omega) for the bulk and boundary parts present."""
-    boundary = np.isin(omega, problem.partition.omega2)
+def _graph_parts(problem):
+    """(graph, mask over Omega) for the bulk and boundary parts present."""
+    boundary = problem.partition.boundary_mask
     return [
         (g, mask)
         for g, mask in ((problem.gamma, ~boundary), (problem.beta, boundary))
@@ -415,7 +415,7 @@ def _recover_pair(problem, u_sub, op, tol, iterations):
     v = problem.phi[omega] + lam_div
     gap_tol = tol * (size + np.abs(v))
     delta = tol * (1.0 + np.abs(u_sub))
-    for g, mask in _graph_parts(problem, omega):
+    for g, mask in _graph_parts(problem):
         lo, hi = _values_near(g, u_sub[mask], delta[mask])
         v[mask] = _clamp_near(v[mask], lo, hi, gap_tol[mask])
     report = _verify(problem, u_sub, v, tol, lam_div)
@@ -444,7 +444,7 @@ def _resolvent_system(problem, op, mu):
     """
     phi = problem.phi[op.rows]
     lam = problem.lambda_scale
-    parts = _graph_parts(problem, op.rows)
+    parts = _graph_parts(problem)
 
     def f_and_jac(u, want_jac):
         s = u + mu * (phi + lam * op.apply(u))
@@ -492,7 +492,7 @@ def _resolvent_newton(problem, op, start, tol, reached):
     # in the graph's domain; clip it there instead of moving u onto the
     # image, which can shift v = phi + lam*div u by far more than the
     # tolerance when p < 2 and neighbouring values nearly agree
-    for g, mask in _graph_parts(problem, op.rows):
+    for g, mask in _graph_parts(problem):
         u[mask] = np.clip(u[mask], *g.domain)
     return _recover_pair(problem, u, op, tol, its)
 
@@ -511,7 +511,7 @@ def _mass_balanced(problem, op, u):
     """
     nu = op.nu
     mass = float(nu @ problem.phi[op.rows])
-    parts = _graph_parts(problem, op.rows)
+    parts = _graph_parts(problem)
 
     def excess(c):
         # how far the nu-weighted graph values at u + c miss the mass
@@ -600,12 +600,9 @@ def _check_q2_hypothesis(problem):
         raise NotConnected("the Q2 variant needs a nonempty bulk part")
     if not is_m_connected(problem.space, part.omega1):
         raise NotConnected("the Q2 variant needs an m-connected bulk part")
-    if part.omega2.size:
-        reach = problem.space.kernel[np.ix_(part.omega2, part.omega1)].sum(axis=1)
-        if np.any(reach <= 0.0):
-            raise NotConnected(
-                "every boundary node must interact with the bulk under Q2"
-            )
+    seen, _, _ = problem.space.block_pairs(part.omega2, part.omega1)
+    if np.unique(seen).size < part.omega2.size:
+        raise NotConnected("every boundary node must interact with the bulk under Q2")
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +623,7 @@ def _verify(problem, u, v, tol, lam_div):
     omega = problem.partition.omega
     inclusion = 0.0
     delta = tol * (1.0 + np.abs(u))
-    for g, mask in _graph_parts(problem, omega):
+    for g, mask in _graph_parts(problem):
         dlo, dhi = g.domain
         u_part, d_part, v_part = u[mask], delta[mask], v[mask]
         outside = (u_part < dlo - d_part) | (u_part > dhi + d_part)
@@ -674,7 +671,7 @@ def energy_report(problem, pair):
 
     The bound takes the Poincare probe estimates at anchor measures
     nu(Omega) and nu(Omega)/2 (8 probes, seed 0); both score the same
-    probes on the problem operator's masked kernel block.
+    probes on the pairs of the problem operator's masked kernel block.
     """
     omega = problem.partition.omega
     op = problem._operator()
@@ -686,7 +683,7 @@ def energy_report(problem, pair):
     energy = float((nu[op.pair_rows] * op.weights * du ** p).sum()) ** (1.0 / q)
     nu_total = float(nu.sum())
     lam1, lam2 = _poincare_estimates(
-        problem.space, omega, op.kernel, p, (nu_total, 0.5 * nu_total),
+        problem.space, omega, op.pairs, p, (nu_total, 0.5 * nu_total),
         probe_count=8, seed=0,
     )
     phi = problem.phi[omega]

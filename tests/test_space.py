@@ -17,7 +17,6 @@ from nldiff.space import (
     is_m_connected,
     m_boundary,
     m_closure,
-    pair_mask,
     poincare_ratio,
     profile_from_config,
 )
@@ -196,14 +195,68 @@ def test_disconnected_subset_detected():
 
 # -- pair masks and the Poincaré probe --------------------------------------
 
-def test_pair_mask_q2_drops_boundary_pairs():
-    space = from_weighted_graph(np.ones((4, 4)) - np.eye(4))
+def test_block_pairs_q2_drops_boundary_pairs():
+    space = from_weighted_graph(np.ones((4, 4)))
     omega = space.node_set([0, 1, 2, 3])
-    mask = pair_mask(space, omega, ("Q2", space.node_set([2, 3])))
-    assert mask[0, 2] and mask[2, 0] and mask[0, 1]
-    assert not mask[2, 3] and not mask[3, 2] and not mask[2, 2]
+    i, j, _ = space.block_pairs(omega, omega, ("Q2", space.node_set([2, 3])))
+    kept = set(zip(i.tolist(), j.tolist()))
+    assert {(0, 2), (2, 0), (0, 1), (0, 0)} <= kept
+    assert not {(2, 3), (3, 2), (2, 2)} & kept
     with pytest.raises(InvalidParameter):
-        pair_mask(space, omega, "Q7")
+        space.block_pairs(omega, omega, "Q7")
+
+
+def grid_space(side):
+    xs, ys = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
+    points = np.column_stack([xs.ravel(), ys.ravel()]).astype(float)
+    ring = ((xs == 0) | (ys == 0) | (xs == side - 1) | (ys == side - 1)).ravel()
+    space = from_kernel_grid(points, 1.0, {"type": "indicator", "radius": 1.5})
+    return space, np.flatnonzero(ring)
+
+
+def self_loop_space():
+    rng = np.random.default_rng(13)
+    w = rng.random((12, 12)) * (rng.random((12, 12)) < 0.4)
+    w = w + w.T + np.diag(rng.uniform(0.1, 2.0, 12))
+    return from_weighted_graph(w)
+
+
+def _block_cases():
+    grid, ring = grid_space(30)
+    everyone = np.arange(grid.node_count)
+    W = np.setdiff1d(everyone, ring)[::3]
+    loops = self_loop_space()
+    dense = random_space(np.random.default_rng(5), 160)
+    return {
+        "grid-Q1": (grid, everyone, everyone, "Q1"),
+        "grid-Q2": (grid, everyone, everyone, ("Q2", ring)),
+        "grid-boundary-closure": (grid, m_boundary(grid, W), m_closure(grid, W), "Q1"),
+        "dense-160": (dense, np.arange(160), np.arange(160), "Q1"),
+        "self-loops-Q1": (loops, np.arange(12), np.arange(12), "Q1"),
+        "self-loops-Q2": (loops, np.arange(12), np.arange(12), ("Q2", [1, 4, 5, 9])),
+        "self-loops-rows": (loops, np.array([0, 3, 4, 11]), np.arange(2, 9), "Q1"),
+    }
+
+
+BLOCK_CASES = _block_cases()
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+def test_block_pairs_are_the_masked_dense_slice_bit_for_bit(name):
+    """block_pairs equals the dense kernel block, times its Q2 mask, read
+    off by np.nonzero: the same positions in the same order, and the same
+    bits in every weight."""
+    space, rows, cols, integration_set = BLOCK_CASES[name]
+    block = space.kernel[np.ix_(rows, cols)]
+    if integration_set != "Q1":
+        omega2 = np.asarray(integration_set[1])
+        mask = ~(np.isin(rows, omega2)[:, None] & np.isin(cols, omega2)[None, :])
+        block = block * mask
+    i_ref, j_ref = np.nonzero(block)
+    i, j, m = space.block_pairs(rows, cols, integration_set)
+    assert i.size > 0
+    assert np.array_equal(i, i_ref) and np.array_equal(j, j_ref)
+    assert m.dtype == block.dtype and m.tobytes() == block[i_ref, j_ref].tobytes()
 
 
 def test_poincare_ratio_guards():
@@ -276,10 +329,10 @@ def test_coordinate_probes_match_the_definition(monkeypatch, p, q2, self_loops):
 
 
 def test_poincare_estimate_work_does_not_grow_with_n(monkeypatch):
-    """One masked kernel slice, one pass for all coordinate probes and one
+    """One masked block of pairs, one pass for all coordinate probes and one
     pass per random probe, on a 10x10 and a 20x20 grid alike; no
-    poincare_ratio calls."""
-    counted = ("poincare_ratio", "pair_mask", "_coordinate_ratios", "_gradient_energy")
+    poincare_ratio calls.  The only other block taken is connectivity's."""
+    counted = ("poincare_ratio", "_coordinate_ratios", "_gradient_energy")
     by_side = {}
     for side in (10, 20):
         xs, ys = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
@@ -292,14 +345,24 @@ def test_poincare_estimate_work_does_not_grow_with_n(monkeypatch):
                 calls[_name] += 1
                 return _fn(*args)
             monkeypatch.setattr(space_module, name, counting)
+        blocks = []
+
+        def taking(space, rows, cols, integration_set="Q1",
+                   _fn=FiniteRandomWalkSpace.block_pairs):
+            blocks.append(integration_set if integration_set == "Q1"
+                          else integration_set[0])
+            return _fn(space, rows, cols, integration_set)
+
+        monkeypatch.setattr(FiniteRandomWalkSpace, "block_pairs", taking)
         est = estimate_poincare_constant(space, omega, ("Q2", omega[:side]), 2.0,
                                          space.measure(omega), 8, seed=0)
         monkeypatch.undo()
         assert est > 0
+        calls["blocks"] = sorted(blocks)
         by_side[side] = calls
     assert by_side[10] == by_side[20] == {
-        "poincare_ratio": 0, "pair_mask": 1, "_coordinate_ratios": 1,
-        "_gradient_energy": 8,
+        "poincare_ratio": 0, "_coordinate_ratios": 1, "_gradient_energy": 8,
+        "blocks": ["Q1", "Q2"],
     }
 
 
