@@ -34,6 +34,7 @@ from .stationary import (
     _check_domain,
     _check_feasible,
     _damped_newton,
+    _newton_matrix,
     _solve,
     _weighted_bound,
     solve_gp,
@@ -677,11 +678,11 @@ def dtn_apply(space, W, flux, f_boundary):
         def f_and_jac(z, want_jac):
             u = u_template[cl]
             u[w_cols] = z
-            return op.apply(u), op.jacobian(u) if want_jac else None
+            return op.apply(u), _newton_matrix(op, u, 0.0, -1.0) if want_jac else None
 
         scale = 1.0 + float(np.max(np.abs(f_boundary)))
         start = np.full(w_nodes.size, float(f_boundary.mean()))
-        z, _, _ = _damped_newton(f_and_jac, start, 1e-12 * scale, op.groups)
+        z, _, _ = _damped_newton(f_and_jac, start, 1e-12 * scale)
         u_template[w_nodes] = z
     return neumann_n1(space, flux, u_template, w_nodes)
 

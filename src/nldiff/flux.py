@@ -6,11 +6,12 @@ operators here are plain weighted sums against the walk kernel, all applied
 by one NonlocalOperator: divergence over a node set and the two flavors of
 Neumann boundary derivative.
 
-The operator keeps the nonzero pairs (i, j, m_ij) of its kernel block, as
-the space gives them, so a compactly supported kernel costs work in
-proportion to its stencil; a block at least half full scatters them into
-the dense block instead.  It groups its nodes by the space's breadth-first
-levels, so that the Newton solves on its Jacobian run block-tridiagonally.
+The operator keeps the pairs (i, j, m_ij) of its kernel block, as the
+space gives them, so a compactly supported kernel costs work in proportion
+to its stencil; a block at least half full scatters them into the dense
+block instead.  Its derivative is minus a graph Laplacian of the pair
+slopes: Newton solves it directly as the dense ``jacobian`` of a small or
+dense operator, and matrix-free, unformed (``laplacian``), on the others.
 """
 from __future__ import annotations
 
@@ -25,16 +26,14 @@ from .errors import (
     MissingValues,
     WeightOutOfRange,
 )
-from .space import breadth_first_levels, m_boundary, m_closure
+from .space import m_boundary, m_closure
 
 _VALIDATION_TRIPLES = 1000
 _VALIDATION_SEED = 424243
 # slope() takes the derivative at |r| of at least this, finite for p < 2
 SLOPE_FLOOR = 1e-12
-# the least node count of a group of breadth-first levels (_level_groups):
-# large enough that each block solve is worth a LAPACK call, small enough
-# that the blocks of a grid stay far below its node count
-LEVEL_GROUP_MIN = 64
+# Newton solves an operator with fewer rows directly, on its dense Jacobian
+DIRECT_SOLVE_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -172,7 +171,7 @@ class NonlocalOperator:
     Node vectors are indexed over ``nodes``, the sorted union of rows and
     columns.  The block's pairs are taken from the space once, here, and
     kept as ``pairs``.  ``pair_rows``, ``pair_cols`` and ``weights`` hold
-    them (i, j, m[x_i, y_j]): the nonzero ones sorted by row, whose row sums
+    them (i, j, m[x_i, y_j]): the stored ones sorted by row, whose row sums
     np.add.reduceat takes, or, for a block at least half full, every entry
     of the dense block they scatter into, with the indices an open mesh
     that broadcasts over the block.  The flux is evaluated through
@@ -213,18 +212,11 @@ class NonlocalOperator:
         self._uj = np.searchsorted(self.nodes, cols)[j]
         self._last_u = self._last_du = None
 
-    @cached_property
-    def groups(self):
-        """Node groups over the rows for a block-tridiagonal Jacobian solve.
-
-        The breadth-first levels of the Jacobian's pattern, merged into
-        consecutive groups (see ``_level_groups``); group k couples only
-        with groups k - 1 and k + 1.  A full block is one group.
-        """
-        if self._dense:
-            return (np.arange(self.rows.size),)
-        _, i, j = self._jacobian_pairs
-        return _level_groups(self.rows.size, i, j)
+    @property
+    def direct(self):
+        """Whether Newton solves on the dense ``jacobian``: a block at least
+        half full, or fewer than DIRECT_SOLVE_ROWS rows."""
+        return self._dense or self.rows.size < DIRECT_SOLVE_ROWS
 
     @cached_property
     def _jacobian_pairs(self):
@@ -235,6 +227,17 @@ class NonlocalOperator:
         col_row = node_row[self._uj]
         pairs = np.flatnonzero(col_row >= 0)
         return pairs, self.pair_rows[pairs], col_row[pairs]
+
+    @cached_property
+    def _laplacian_pairs(self):
+        """(k, starts, heads, j, between): the pairs k of ``_jacobian_pairs``
+        between two different row nodes, at columns j, whose rows ``heads``
+        begin at ``starts``, and the mask of the pairs between two different
+        nodes (a sparse block only)."""
+        pairs, i, j = self._jacobian_pairs
+        off = i != j
+        starts = np.flatnonzero(np.diff(i[off], prepend=-1))
+        return pairs[off], starts, i[off][starts], j[off], self._x != self._y
 
     def _differences(self, u):
         last = self._last_u
@@ -261,13 +264,17 @@ class NonlocalOperator:
         """The kernel-weighted flux values of the pairs, which ``apply`` sums."""
         return self.weights * self.flux.evaluate(self._x, self._y, self._differences(u))
 
+    def slopes(self, u):
+        """The kernel-weighted floored flux slopes m*a' of the pairs."""
+        return self.weights * self.flux.slope(self._x, self._y, self._differences(u))
+
     def jacobian(self, u):
         """Derivative of ``apply`` with respect to u at the row nodes.
 
         Rows must lie among the columns.  Uses the floored flux slope.  The
         pair slopes are scattered into a dense rows x rows matrix.
         """
-        w = self.weights * self.flux.slope(self._x, self._y, self._differences(u))
+        w = self.slopes(u)
         if self._dense:
             jac = w[:, self._row_cols]
         else:
@@ -277,41 +284,30 @@ class NonlocalOperator:
         jac[np.diag_indices_from(jac)] -= self._row_sums(w)
         return jac
 
+    def laplacian(self, u):
+        """(degree, dot): -jacobian(u) = diag(degree) - W on a sparse block,
+        never formed.  W holds the slopes of the pairs between two different
+        row nodes, and degree sums each row's slopes over all pairs between
+        two different nodes; dot(x) = (diag(degree) - W) @ x gathers and sums
+        rows once over the pairs.  Weighted by nu, W is symmetric."""
+        w = self.slopes(u)
+        pairs, starts, heads, j, between = self._laplacian_pairs
+        degree = self._row_sums(np.where(between, w, 0.0))
+        w = w[pairs]
+
+        def dot(x):
+            out = degree * x
+            out[heads] -= np.add.reduceat(w * x[j], starts)
+            return out
+
+        return degree, dot
+
     def pairing(self, u, w):
         """Half the nu-weighted double sum of a(u-differences)·(w-differences)."""
         vals = self.flux.evaluate(self._x, self._y, self._differences(u))
         return 0.5 * float(
             np.sum(self.nu[self.pair_rows] * self.weights * vals * self._differences(w))
         )
-
-
-def _level_groups(n, a, b):
-    """Groups of consecutive breadth-first levels of the pattern {(a_k, b_k)}.
-
-    Consecutive ``breadth_first_levels`` are merged into groups of at least
-    LEVEL_GROUP_MIN nodes, and a last group short of it joins the one
-    before; group k then couples only with groups k - 1 and k + 1.  Returns
-    a tuple of sorted node arrays.  A pattern that yields one group, as
-    every pattern under 2 * LEVEL_GROUP_MIN nodes does, returns
-    (arange(n),): its node order is kept.
-    """
-    if n < 2 * LEVEL_GROUP_MIN:
-        return (np.arange(n),)
-    level, sizes, _ = breadth_first_levels(n, a, b)
-    group_of_level = np.empty(len(sizes), dtype=int)
-    group = filled = 0
-    for k, size in enumerate(sizes):
-        group_of_level[k] = group
-        filled += size
-        if filled >= LEVEL_GROUP_MIN:
-            group, filled = group + 1, 0
-    if filled and group:
-        group_of_level[group_of_level == group] = group - 1
-    if group <= 1:
-        return (np.arange(n),)
-    node_group = group_of_level[level]
-    order = np.argsort(node_group, kind="stable")
-    return tuple(np.split(order, np.cumsum(np.bincount(node_group))[:-1]))
 
 
 def _checked_vector(space, u, nodes, what="u"):

@@ -473,11 +473,17 @@ def _resolvent_power(el: El, mu, s):
     monotonically (the upper end for e > 1, where the residual is convex,
     the lower one for e < 1) and stops once a step is within a few ulp of
     r, relative to r, so exponents below one keep their accuracy near the
-    origin.
+    origin.  For e = 2 the root is the closed form 2a/(1 + sqrt(1 + 4*mu*c*a)),
+    free of cancellation, or sqrt(a/(mu*c)) where 4*mu*c*a overflows.
     """
     a = np.abs(s)
     cm = mu * el.p
     e = el.q
+    if e == 2.0:
+        with np.errstate(divide="ignore", over="ignore"):
+            root = np.sqrt(1.0 + 4.0 * cm * a)
+            r = np.where(np.isfinite(root), a / (0.5 + 0.5 * root), np.sqrt(a / cm))
+        return np.clip(np.copysign(r, s), el.r0, el.r1)
     with np.errstate(divide="ignore", over="ignore"):
         lo = 0.5 * np.minimum(0.5 * a, (0.5 * a / cm) ** (1.0 / e))
         hi = np.minimum(a, 2.0 * (a / cm) ** (1.0 / e))

@@ -6,9 +6,10 @@ and a node measure that is reversible for it.  Everything downstream
 read-only, so they validate once at construction and are immutable
 afterwards.
 
-A space keeps its kernel's nonzero pairs, and every sum over the walk
-takes its block of them from :meth:`FiniteRandomWalkSpace.block_pairs`.
-:func:`breadth_first_levels` serves connectivity and the Newton groups.
+A space keeps its kernel's pairs nonzero in either direction, a symmetric
+support, and every sum over the walk takes its block of them from
+:meth:`FiniteRandomWalkSpace.block_pairs`.  :func:`breadth_first_levels`
+serves connectivity.
 """
 from __future__ import annotations
 
@@ -72,8 +73,10 @@ class FiniteRandomWalkSpace:
                 "kernel rows must sum to 1 within %g (worst %.3e)"
                 % (ROW_SUM_TOL, float(np.max(np.abs(row_sums - 1.0))))
             )
-        # the nonzero pairs in row order, 32-bit indexed; off them the gap is 0
+        # the pairs nonzero in either direction (rounding can leave one at
+        # 0), in row order, 32-bit indexed; off them the gap is 0
         support = kernel != 0.0
+        support |= support.T
         rows, cols = (a.astype(np.int32) for a in np.nonzero(support))
         weights = kernel[support]
         gap = float(np.max(np.abs(nu[rows] * weights - nu[cols] * kernel[cols, rows])))
@@ -91,8 +94,8 @@ class FiniteRandomWalkSpace:
 
     def block_pairs(self, rows, cols, integration_set="Q1"):
         """(i, j, m): the pairs of the block at sorted node arrays ``rows``
-        x ``cols`` with m = kernel[rows[i], cols[j]] > 0, in the order of
-        ``np.nonzero`` on the dense block.  ``integration_set`` "Q1" keeps
+        x ``cols`` with m = kernel[rows[i], cols[j]] > 0 or its mirror entry
+        > 0, in the order of ``np.nonzero``.  ``integration_set`` "Q1" keeps
         them all, ("Q2", omega2) drops those with both nodes in omega2.
         """
         i = np.full(self.node_count, -1)
@@ -132,7 +135,7 @@ class FiniteRandomWalkSpace:
 def breadth_first_levels(n, i, j):
     """Breadth-first levels of the row-sorted pairs (i, j) on positions 0..n-1.
 
-    The pattern is symmetric, as a reversible kernel's support is.  Each
+    The pattern is symmetric, as the space stores its pairs.  Each
     component is searched from an unreached position of least degree (the
     Cuthill-McKee level structure), each level grown from the one before
     through the row starts of the pairs, so every pair joins one level or
@@ -316,8 +319,8 @@ def from_kernel_grid(points, spacing, kernel_profile) -> FiniteRandomWalkSpace:
 def m_boundary(space: FiniteRandomWalkSpace, W) -> np.ndarray:
     """Nodes outside W that jump into W with positive probability."""
     W = space.node_set(W)
-    jumpers, _, _ = space.block_pairs(np.arange(space.node_count), W)
-    return np.setdiff1d(jumpers, W)
+    jumpers, _, m = space.block_pairs(np.arange(space.node_count), W)
+    return np.setdiff1d(jumpers[m > 0.0], W)
 
 
 def m_closure(space: FiniteRandomWalkSpace, W) -> np.ndarray:

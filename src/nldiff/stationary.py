@@ -17,7 +17,9 @@ the graphs' values.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +42,12 @@ from .space import (
 DEFAULT_TOL = 1e-9
 RANGE_EPS_BASE = 1e-10
 NEWTON_ITERATION_CAP = 420
+# the PCG of a matrix-free Newton step: its loosest and tightest relative
+# residual, and its iteration cap per row (exact CG needs one per row, and
+# rounding delays it: up to 1.9 on a 400-node chain at lambda = 1e4)
+FORCING_MAX = 0.01
+CG_TIGHT = 1e-12
+CG_ITERATIONS_PER_ROW = 4
 
 
 @dataclass(frozen=True)
@@ -97,6 +105,13 @@ class StationaryProblem:
     def _operator(self):
         omega = self.partition.omega
         return NonlocalOperator(self.space, self.flux, omega, omega, self._mask_spec)
+
+    @cached_property
+    def _graph_parts(self):
+        """(graph, mask over Omega) of the parts present, formed once."""
+        boundary = self.partition.boundary_mask
+        parts = ((self.gamma, ~boundary), (self.beta, boundary))
+        return [(g, mask) for g, mask in parts if np.any(mask)]
 
 
 @dataclass(frozen=True)
@@ -167,31 +182,36 @@ def _weighted_bound(mass, bound):
 # shared damped Newton driver
 # ---------------------------------------------------------------------------
 
-def _damped_newton(f_and_jac, u0, tol, groups):
+def _damped_newton(f_and_jac, u0, tol):
     """Semismooth Newton with Armijo backtracking and a diagonal shift.
 
     ``f_and_jac(u, want_jac)`` returns (F, J) with J None when not wanted;
-    J is a fresh matrix that Newton may overwrite.  Each step solves with
-    J by ``_block_solve`` over ``groups``, node groups that J couples only
-    between neighbours (``NonlocalOperator.groups``).
-    When the plain Newton step fails the line search, the system is
-    re-solved with a growing shift on the diagonal, which keeps the step
-    useful when kink slopes make the Jacobian nearly singular (p < 2
-    fluxes floor their slope at huge values near zero differences).  The
-    shift is written onto J's diagonal in place.
-    Once the residual is within ``tol``, one last full Newton step on the
-    Jacobian at hand is kept if it lowers the residual further, so callers
-    that read a quantity off the residual (v from the equation) get it to
-    rounding level rather than to the stopping tolerance.
+    J is a fresh ``_newton_matrix`` diag(c) + diag(b)*L, L the weighted
+    graph Laplacian of the operator's pair slopes: c = 1 - D, b = mu*lam*D
+    on the resolvent form, c the graph and penalty slopes, b = lam on the
+    regularized form, and c = 0, b = -1 on the Dirichlet-to-Neumann lift.
+    A small or dense operator's J is dense and solved by np.linalg.solve.
+    The others stay in pair form, solved by Jacobi-PCG to a relative
+    residual eta that follows the residual's decrease, 0.9*(|F|/|F_last|)**2
+    (Eisenstat and Walker, SIAM J. Sci. Comput. 17, 1996), at most
+    FORCING_MAX and no tighter than a tenth of what ``tol`` asks for.
+    When the plain Newton step fails the line search, or its CG reaches the
+    iteration cap, the system is re-solved with a growing shift on the
+    diagonal, which keeps the step useful when kink slopes make the
+    Jacobian nearly singular (p < 2 fluxes floor their slope at huge values
+    near zero differences).  Once the residual is within ``tol``, one last
+    full Newton step, solved tight, is kept if it lowers the residual, so
+    callers that read a quantity off the residual (v from the equation) get
+    it to rounding level rather than to the stopping tolerance.
 
-    The block solve pivots only within each block, which is safe because
-    every Jacobian its callers form is weakly row diagonally dominant, with
-    or without the shift: I - D*(I + mu*lam*K) with D in [0, 1] on the
-    resolvent form, diag(slopes >= 0) - lam*K on the regularized form, and
-    -K for the Dirichlet-to-Neumann map, where K = op.jacobian(u) has
-    off-diagonal entries m*a' >= 0 and a diagonal minus their row sum.
-    Schur complements of such a matrix stay dominant, and a singular one
-    raises np.linalg.LinAlgError, which the shift handles.
+    Both solves are safe on every J its callers form.  L has off-diagonal
+    entries -m*a' <= 0 and a diagonal of their row sums, and D lies in
+    [0, 1], so J is weakly row diagonally dominant with or without the
+    shift: LU pivoting raises np.linalg.LinAlgError only on a singular J,
+    which the shift handles.  The pair form fixes the rows with b = 0 and
+    scales the others by nu/b, which leaves diag(nu*(c + shift)/b) +
+    diag(nu)*L: symmetric, as nu*m is (reversibility) and a' is even, and
+    positive definite with the shift on, as CG needs.
     Returns (u, residual_inf, iterations); raises SolverDiverged.
     """
     u = np.array(u0, dtype=float)
@@ -199,17 +219,20 @@ def _damped_newton(f_and_jac, u0, tol, groups):
     res = float(np.max(np.abs(f)))
     best = res
     mu = 0.0
+    eta, norm = FORCING_MAX, None
     for it in range(NEWTON_ITERATION_CAP):
         if res <= tol:
-            return _last_step(f_and_jac, u, f, jac, res, groups) + (it,)
+            return _last_step(f_and_jac, u, f, jac, res) + (it,)
         merit = 0.5 * float(f @ f)
-        diag = np.diag(jac).copy()
-        jac_scale = 1.0 + float(np.max(np.abs(diag)))
+        if norm is not None:
+            eta = 0.9 * 2.0 * merit / (norm * norm)
+        norm = math.sqrt(2.0 * merit)
+        eta = min(FORCING_MAX, max(eta, 0.1 * tol / norm, CG_TIGHT))
+        jac_scale = 1.0 + float(np.max(np.abs(jac.diagonal)))
         accepted = False
         for _ in range(14):
-            np.fill_diagonal(jac, diag + (1e-12 + mu * jac_scale))
             try:
-                step = _block_solve(jac, f, groups)
+                step = jac.solve(f, 1e-12 + mu * jac_scale, eta)
             except np.linalg.LinAlgError:
                 step = None
             if step is not None and np.all(np.isfinite(step)):
@@ -239,38 +262,87 @@ def _damped_newton(f_and_jac, u0, tol, groups):
     )
 
 
-def _block_solve(matrix, rhs, groups):
-    """Solve matrix @ x = rhs for a matrix block-tridiagonal over ``groups``.
+def _newton_matrix(op, u, c, b):
+    """diag(c) + diag(b)*L at u, L = -op.jacobian(u): dense on a direct
+    (``NonlocalOperator.direct``) operator, op.jacobian(u) with its rows
+    scaled by -b and c added to its diagonal, else in pair form."""
+    if not op.direct:
+        return _PairMatrix(op.laplacian(u), c, b, op.nu)
+    jac = op.jacobian(u)
+    jac *= -b if np.ndim(b) == 0 else (-b)[:, None]
+    jac[np.diag_indices_from(jac)] += c
+    return _DenseMatrix(jac)
 
-    ``groups`` partitions the indices, and block (k, l) of the matrix is
-    zero unless |k - l| <= 1.  Block elimination forms the Schur
-    complements forward and back-substitutes; np.linalg.solve pivots
-    within each block only.  One group is np.linalg.solve on the matrix.
+
+class _DenseMatrix:
+    """A dense Newton matrix; ``solve`` writes the shift onto its diagonal
+    (none for shift None) and calls np.linalg.solve, ignoring ``rtol``."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.diagonal = np.diag(matrix).copy()
+
+    def solve(self, f, shift=None, rtol=None):
+        if shift is not None:
+            np.fill_diagonal(self.matrix, self.diagonal + shift)
+        return np.linalg.solve(self.matrix, f)
+
+
+class _PairMatrix:
+    """diag(c) + diag(b)*L for L = ``NonlocalOperator.laplacian``, unformed.
+
+    ``solve(f, shift, rtol)`` is (J + shift*I)^-1 f by Jacobi-PCG to a
+    residual of at most rtol*|f|_2, raising np.linalg.LinAlgError on a
+    direction of nonpositive curvature or at the iteration cap; a negative
+    scalar b takes the shift with its sign, so that the system stays
+    definite.  ``iterations`` counts the last solve's CG iterations.
     """
-    if len(groups) == 1:
-        return np.linalg.solve(matrix, rhs)
-    schur = matrix[np.ix_(groups[0], groups[0])]
-    y = rhs[groups[0]]
-    eliminated = []
-    for g, h in zip(groups, groups[1:]):
-        solved = np.linalg.solve(schur, np.column_stack([matrix[np.ix_(g, h)], y]))
-        eliminated.append(solved)
-        lower = matrix[np.ix_(h, g)]
-        schur = matrix[np.ix_(h, h)] - lower @ solved[:, :-1]
-        y = rhs[h] - lower @ solved[:, -1]
-    x = np.empty_like(rhs)
-    x_next = x[groups[-1]] = np.linalg.solve(schur, y)
-    for g, solved in zip(groups[-2::-1], eliminated[::-1]):
-        x_next = x[g] = solved[:, -1] - solved[:, :-1] @ x_next
-    return x
+
+    def __init__(self, laplacian, c, b, nu):
+        (self.degree, self.dot), self.nu, self.c = laplacian, nu, c
+        self.b = np.asarray(b, dtype=float)  # a scalar b too has ~(b != 0)
+        self.diagonal = c + b * self.degree
+        self.iterations = 0
+
+    def solve(self, f, shift=None, rtol=CG_TIGHT):
+        c, b, zero = self.c, self.b, np.zeros_like(f)
+        shift = 0.0 if shift is None else shift
+        free = b != 0.0
+        x = np.divide(f, c + shift, out=zero.copy(), where=~free)
+        # the free rows times nu/b: a + diag(nu)*L, and 0 on the fixed rows
+        scale = np.divide(self.nu, b, out=zero.copy(), where=free)
+        a = scale * (c + np.where(b < 0.0, -shift, shift))
+        nu_free = np.where(free, self.nu, 0.0)
+        r = scale * (f - b * self.dot(x))
+        inverse = np.divide(1.0, a + nu_free * self.degree, out=zero.copy(),
+                            where=free)
+        unscale = np.divide(b, self.nu, out=zero.copy(), where=free)
+        stop = rtol * math.sqrt(float(f @ f))
+        z = inverse * r
+        p, rz = z.copy(), float(r @ z)
+        for self.iterations in range(CG_ITERATIONS_PER_ROW * f.size + 1):
+            ro = r * unscale
+            if math.sqrt(float(ro @ ro)) <= stop:
+                return x
+            q = a * p + nu_free * self.dot(p)
+            pq = float(p @ q)
+            if not pq > 0.0:
+                break
+            x += (rz / pq) * p
+            r -= (rz / pq) * q
+            z = inverse * r
+            rz, rz_last = float(r @ z), rz
+            p *= rz / rz_last
+            p += z
+        raise np.linalg.LinAlgError("PCG did not reach its tolerance")
 
 
-def _last_step(f_and_jac, u, f, jac, res, groups):
+def _last_step(f_and_jac, u, f, jac, res):
     """(u, residual_inf) after one full Newton step, if that lowers it."""
     if res == 0.0:
         return u, res
     try:
-        trial = u - _block_solve(jac, f, groups)
+        trial = u - jac.solve(f)
     except np.linalg.LinAlgError:
         return u, res
     ft, _ = f_and_jac(trial, False)
@@ -308,7 +380,7 @@ def _approx_system(problem, op, n, k, K):
     inv_n, inv_k = 1.0 / n, 1.0 / k
     parts = [
         (mask, g.split_plus(), g.split_minus())
-        for g, mask in _graph_parts(problem)
+        for g, mask in problem._graph_parts
     ]
 
     def f_and_jac(u, want_jac):
@@ -333,11 +405,7 @@ def _approx_system(problem, op, n, k, K):
             return f, None
         base = np.maximum(np.abs(u), 1e-12) ** (p - 2.0)
         pen_slope = (p - 1.0) * base * np.where(u >= 0.0, inv_n, inv_k)
-        # diag(graph and penalty slopes) - lam * op.jacobian(u), in place
-        jac = op.jacobian(u)
-        jac *= -lam
-        jac[np.diag_indices_from(jac)] += graph_slope + pen_slope
-        return f, jac
+        return f, _newton_matrix(op, u, graph_slope + pen_slope, lam)
 
     return f_and_jac
 
@@ -357,7 +425,7 @@ def solve_approximate(problem, n, k, K=None):
     op = problem._operator()
     tol = 1e-11 * (1.0 + _phi_inf(problem))
     fj = _approx_system(problem, op, n, k, K)
-    u, _, _ = _damped_newton(fj, np.zeros(op.rows.size), tol, op.groups)
+    u, _, _ = _damped_newton(fj, np.zeros(op.rows.size), tol)
     full = np.zeros(problem.space.node_count)
     full[op.rows] = u
     return full
@@ -366,16 +434,6 @@ def solve_approximate(problem, n, k, K=None):
 # ---------------------------------------------------------------------------
 # limit solve
 # ---------------------------------------------------------------------------
-
-def _graph_parts(problem):
-    """(graph, mask over Omega) for the bulk and boundary parts present."""
-    boundary = problem.partition.boundary_mask
-    return [
-        (g, mask)
-        for g, mask in ((problem.gamma, ~boundary), (problem.beta, boundary))
-        if np.any(mask)
-    ]
-
 
 def _clamp_near(v, lo, hi, gap_tol):
     """v moved onto [lo, hi] where it misses it by at most gap_tol."""
@@ -415,10 +473,12 @@ def _recover_pair(problem, u_sub, op, tol, iterations):
     v = problem.phi[omega] + lam_div
     gap_tol = tol * (size + np.abs(v))
     delta = tol * (1.0 + np.abs(u_sub))
-    for g, mask in _graph_parts(problem):
+    bounds = []
+    for g, mask in problem._graph_parts:
         lo, hi = _values_near(g, u_sub[mask], delta[mask])
         v[mask] = _clamp_near(v[mask], lo, hi, gap_tol[mask])
-    report = _verify(problem, u_sub, v, tol, lam_div)
+        bounds.append((lo, hi))
+    report = _verify(problem, u_sub, v, tol, lam_div, bounds)
     if not report.passed:
         raise SolverDiverged(
             "resolvent Newton pair fails verification: " + "; ".join(report.failures)
@@ -440,11 +500,12 @@ def _resolvent_system(problem, op, mu):
     """Residual/Jacobian closure for F(u) = u - J(u + mu*(phi + lam*div u)).
 
     J applies each node's graph resolvent at step mu, and D is its
-    derivative, so the Jacobian is I - D*(I + mu*lam*op.jacobian(u)).
+    derivative, so the Jacobian is I - D*(I + mu*lam*op.jacobian(u)):
+    diag(1 - D) + diag(mu*lam*D)*L in the form of ``_newton_matrix``.
     """
     phi = problem.phi[op.rows]
     lam = problem.lambda_scale
-    parts = _graph_parts(problem)
+    parts = problem._graph_parts
 
     def f_and_jac(u, want_jac):
         s = u + mu * (phi + lam * op.apply(u))
@@ -458,10 +519,7 @@ def _resolvent_system(problem, op, mu):
         f = u - r
         if not want_jac:
             return f, None
-        jac = op.jacobian(u)
-        jac *= (-mu * lam) * d[:, None]
-        jac[np.diag_indices_from(jac)] += 1.0 - d
-        return f, jac
+        return f, _newton_matrix(op, u, 1.0 - d, (mu * lam) * d)
 
     return f_and_jac
 
@@ -485,14 +543,12 @@ def _resolvent_newton(problem, op, start, tol, reached):
             reached[0] = u
         return fj(u, want_jac)
 
-    u, _, its = _damped_newton(
-        f_and_jac, start, 1e-12 * mu * float(np.max(size)), op.groups
-    )
+    u, _, its = _damped_newton(f_and_jac, start, 1e-12 * mu * float(np.max(size)))
     # u is within the stopping tolerance of the resolvent image, which lies
     # in the graph's domain; clip it there instead of moving u onto the
     # image, which can shift v = phi + lam*div u by far more than the
     # tolerance when p < 2 and neighbouring values nearly agree
-    for g, mask in _graph_parts(problem):
+    for g, mask in problem._graph_parts:
         u[mask] = np.clip(u[mask], *g.domain)
     return _recover_pair(problem, u, op, tol, its)
 
@@ -511,7 +567,7 @@ def _mass_balanced(problem, op, u):
     """
     nu = op.nu
     mass = float(nu @ problem.phi[op.rows])
-    parts = _graph_parts(problem)
+    parts = problem._graph_parts
 
     def excess(c):
         # how far the nu-weighted graph values at u + c miss the mass
@@ -618,18 +674,19 @@ def verify_solution(problem, pair, tol) -> VerificationReport:
     return _verify(problem, u, v, tol, lam_div)
 
 
-def _verify(problem, u, v, tol, lam_div):
-    """``verify_solution`` on u and v over Omega, with lam*div u at hand."""
+def _verify(problem, u, v, tol, lam_div, bounds=None):
+    """``verify_solution`` on u and v over Omega, with lam*div u at hand,
+    and the ``_values_near`` bounds of each graph part if formed."""
     omega = problem.partition.omega
     inclusion = 0.0
     delta = tol * (1.0 + np.abs(u))
-    for g, mask in _graph_parts(problem):
+    for k, (g, mask) in enumerate(problem._graph_parts):
         dlo, dhi = g.domain
         u_part, d_part, v_part = u[mask], delta[mask], v[mask]
         outside = (u_part < dlo - d_part) | (u_part > dhi + d_part)
         if np.any(outside):
             inclusion = float("inf")
-        lo, hi = _values_near(g, u_part, d_part)
+        lo, hi = _values_near(g, u_part, d_part) if bounds is None else bounds[k]
         gap = np.where(v_part > hi, v_part - hi, np.where(v_part < lo, lo - v_part, 0.0))
         inclusion = max(inclusion, float(np.max(gap[~outside], initial=0.0)))
     eq = float(np.max(np.abs(v - lam_div - problem.phi[omega])))

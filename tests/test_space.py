@@ -259,6 +259,28 @@ def test_block_pairs_are_the_masked_dense_slice_bit_for_bit(name):
     assert m.dtype == block.dtype and m.tobytes() == block[i_ref, j_ref].tobytes()
 
 
+def test_every_stored_pair_has_its_mirror():
+    """A pair is stored when either direction is nonzero.  On a 30 x 30
+    Gaussian grid with sigma = 0.7 and no cutoff, 384 far pairs round to 0
+    in one direction only: their weights underflow to subnormals, which
+    the two rows divide by unequal degrees.  Those are stored with m = 0;
+    m_boundary still counts only positive jumps."""
+    xs, ys = np.meshgrid(np.arange(30), np.arange(30), indexing="ij")
+    points = np.column_stack([xs.ravel(), ys.ravel()]).astype(float)
+    space = from_kernel_grid(points, 1.0, {"type": "gaussian", "sigma": 0.7})
+    everyone = np.arange(space.node_count)
+    i, j, m = space.block_pairs(everyone, everyone)
+    n = space.node_count
+    assert np.array_equal(np.sort(i * n + j), np.sort(j * n + i))
+    zero = m == 0.0
+    assert np.count_nonzero(zero) == 384
+    assert np.all(space.kernel[j[zero], i[zero]] > 0.0)
+    # a node that only the other side of a one-sided pair links to W
+    x, y = i[m == 0.0][0], j[m == 0.0][0]
+    assert x not in m_boundary(space, [y])
+    assert y in m_boundary(space, [x])
+
+
 def test_poincare_ratio_guards():
     space = from_weighted_graph([[0, 1], [1, 0]])
     omega = space.node_set([0, 1])
