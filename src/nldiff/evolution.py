@@ -34,7 +34,7 @@ from .stationary import (
     _check_domain,
     _check_feasible,
     _damped_newton,
-    _newton_matrix,
+    _NewtonMatrix,
     _solve,
     _weighted_bound,
     solve_gp,
@@ -678,7 +678,7 @@ def dtn_apply(space, W, flux, f_boundary):
         def f_and_jac(z, want_jac):
             u = u_template[cl]
             u[w_cols] = z
-            return op.apply(u), _newton_matrix(op, u, 0.0, -1.0) if want_jac else None
+            return op.apply(u), _NewtonMatrix(op, u, 0.0, -1.0) if want_jac else None
 
         scale = 1.0 + float(np.max(np.abs(f_boundary)))
         start = np.full(w_nodes.size, float(f_boundary.mean()))

@@ -6,12 +6,13 @@ operators here are plain weighted sums against the walk kernel, all applied
 by one NonlocalOperator: divergence over a node set and the two flavors of
 Neumann boundary derivative.
 
-The operator keeps the pairs (i, j, m_ij) of its kernel block, as the
-space gives them, so a compactly supported kernel costs work in proportion
-to its stencil; a block at least half full scatters them into the dense
-block instead.  Its derivative is minus a graph Laplacian of the pair
-slopes: Newton solves it directly as the dense ``jacobian`` of a small or
-dense operator, and matrix-free, unformed (``laplacian``), on the others.
+The operator keeps the nonzero pairs (i, j, m_ij) of its kernel block, as
+the space gives them, and evaluates, sums and differentiates over them
+alone, so a compactly supported kernel costs work in proportion to its
+stencil.  Its derivative is minus a graph Laplacian of the pair slopes:
+Newton solves it directly as the dense ``jacobian`` of a small or dense
+(``direct``) operator, and matrix-free, unformed (``laplacian``), on the
+others.
 """
 from __future__ import annotations
 
@@ -171,14 +172,13 @@ class NonlocalOperator:
     Node vectors are indexed over ``nodes``, the sorted union of rows and
     columns.  The block's pairs are taken from the space once, here, and
     kept as ``pairs``.  ``pair_rows``, ``pair_cols`` and ``weights`` hold
-    them (i, j, m[x_i, y_j]): the stored ones sorted by row, whose row sums
-    np.add.reduceat takes, or, for a block at least half full, every entry
-    of the dense block they scatter into, with the indices an open mesh
-    that broadcasts over the block.  The flux is evaluated through
-    ``flux`` on those pairs at every application.  The differences of the
-    last u are kept, so that a Newton step's residual and Jacobian at one u
-    form them once; they are read-only because every later call with the
-    same u shares them.
+    them (i, j, m[x_i, y_j]), the stored ones sorted by row, whose row sums
+    np.add.reduceat takes; every method runs over them alone, on dense and
+    sparse blocks alike.  The flux is evaluated through ``flux`` on those
+    pairs at every application.  The differences of the last u are kept,
+    so that a Newton step's residual and Jacobian at one u form them once;
+    they are read-only because every later call with the same u shares
+    them.
     """
 
     def __init__(self, space, flux, rows, cols, integration_set="Q1"):
@@ -188,23 +188,8 @@ class NonlocalOperator:
         self.nodes = np.union1d(rows, cols)
         self.pairs = space.block_pairs(rows, cols, integration_set)
         i, j, self.weights = self.pairs
-        self._dense = 2 * self.weights.size >= rows.size * cols.size
-        if self._dense:
-            # a block at least half full keeps every entry, indexed by an
-            # open mesh: its terms broadcast and its rows sum over the dense
-            # layout, where index gathers would cost more than the zeros
-            # they skip
-            block = np.zeros((rows.size, cols.size))
-            block[i, j] = self.weights
-            self.weights = block
-            i, j = np.ix_(np.arange(rows.size), np.arange(cols.size))
-            # the Jacobian keeps the columns of the row nodes: on a square
-            # block all of them, taken as a view
-            square = np.array_equal(rows, cols)
-            self._row_cols = slice(None) if square else np.searchsorted(cols, rows)
-        else:
-            starts = np.flatnonzero(np.diff(i, prepend=-1))
-            self._sum_rows, self._sum_starts = i[starts], starts
+        starts = np.flatnonzero(np.diff(i, prepend=-1))
+        self._sum_rows, self._sum_starts = i[starts], starts
         self.pair_rows, self.pair_cols = i, j
         self.nu = space.nu[rows]
         self._x, self._y = rows[i], cols[j]
@@ -216,25 +201,28 @@ class NonlocalOperator:
     def direct(self):
         """Whether Newton solves on the dense ``jacobian``: a block at least
         half full, or fewer than DIRECT_SOLVE_ROWS rows."""
-        return self._dense or self.rows.size < DIRECT_SOLVE_ROWS
+        return (2 * self.weights.size >= self.rows.size * self.cols.size
+                or self.rows.size < DIRECT_SOLVE_ROWS)
 
     @cached_property
     def _jacobian_pairs(self):
-        """(k, i, j): the pairs k whose column node is a row node, at row i
-        and column j of the rows x rows Jacobian (a sparse block only)."""
+        """(k, flat): the pairs k whose column node is a row node, and the
+        flat index i*rows + j of their row i and column j in the rows x rows
+        Jacobian."""
         node_row = np.full(self.nodes.size, -1)
         node_row[np.searchsorted(self.nodes, self.rows)] = np.arange(self.rows.size)
         col_row = node_row[self._uj]
         pairs = np.flatnonzero(col_row >= 0)
-        return pairs, self.pair_rows[pairs], col_row[pairs]
+        return pairs, self.pair_rows[pairs] * self.rows.size + col_row[pairs]
 
     @cached_property
     def _laplacian_pairs(self):
         """(k, starts, heads, j, between): the pairs k of ``_jacobian_pairs``
         between two different row nodes, at columns j, whose rows ``heads``
         begin at ``starts``, and the mask of the pairs between two different
-        nodes (a sparse block only)."""
-        pairs, i, j = self._jacobian_pairs
+        nodes."""
+        pairs, flat = self._jacobian_pairs
+        i, j = np.divmod(flat, self.rows.size)
         off = i != j
         starts = np.flatnonzero(np.diff(i[off], prepend=-1))
         return pairs[off], starts, i[off][starts], j[off], self._x != self._y
@@ -242,15 +230,14 @@ class NonlocalOperator:
     def _differences(self, u):
         last = self._last_u
         if last is None or last.shape != u.shape or not (last == u).all():
-            du = u[self._uj] - u[self._ui]
+            du = u[self._uj]
+            du -= u[self._ui]  # in place: one pair-length temporary fewer
             du.flags.writeable = False
             self._last_u, self._last_du = u.copy(), du
         return self._last_du
 
     def _row_sums(self, values):
         """Sums of per-pair values along each row."""
-        if self._dense:
-            return values.sum(axis=1)
         out = np.zeros(self.rows.size)
         if values.size:
             out[self._sum_rows] = np.add.reduceat(values, self._sum_starts)
@@ -275,20 +262,18 @@ class NonlocalOperator:
         pair slopes are scattered into a dense rows x rows matrix.
         """
         w = self.slopes(u)
-        if self._dense:
-            jac = w[:, self._row_cols]
-        else:
-            pairs, i, j = self._jacobian_pairs
-            jac = np.zeros((self.rows.size, self.rows.size))
-            jac[i, j] = w[pairs]
-        jac[np.diag_indices_from(jac)] -= self._row_sums(w)
-        return jac
+        n = self.rows.size
+        pairs, flat = self._jacobian_pairs
+        jac = np.zeros(n * n)
+        jac[flat] = w if pairs.size == w.size else w[pairs]
+        jac[:: n + 1] -= self._row_sums(w)
+        return jac.reshape(n, n)
 
     def laplacian(self, u):
-        """(degree, dot): -jacobian(u) = diag(degree) - W on a sparse block,
-        never formed.  W holds the slopes of the pairs between two different
-        row nodes, and degree sums each row's slopes over all pairs between
-        two different nodes; dot(x) = (diag(degree) - W) @ x gathers and sums
+        """(degree, dot): -jacobian(u) = diag(degree) - W, never formed.
+        W holds the slopes of the pairs between two different row nodes,
+        and degree sums each row's slopes over all pairs between two
+        different nodes; dot(x) = (diag(degree) - W) @ x gathers and sums
         rows once over the pairs.  Weighted by nu, W is symmetric."""
         w = self.slopes(u)
         pairs, starts, heads, j, between = self._laplacian_pairs

@@ -103,6 +103,12 @@ class StationaryProblem:
         return "Q1"
 
     def _operator(self):
+        """The problem's operator, built on first use and shared by its
+        solve, verification and energy report."""
+        return self._shared_operator
+
+    @cached_property
+    def _shared_operator(self):
         omega = self.partition.omega
         return NonlocalOperator(self.space, self.flux, omega, omega, self._mask_spec)
 
@@ -186,12 +192,13 @@ def _damped_newton(f_and_jac, u0, tol):
     """Semismooth Newton with Armijo backtracking and a diagonal shift.
 
     ``f_and_jac(u, want_jac)`` returns (F, J) with J None when not wanted;
-    J is a fresh ``_newton_matrix`` diag(c) + diag(b)*L, L the weighted
+    J is a fresh ``_NewtonMatrix`` diag(c) + diag(b)*L, L the weighted
     graph Laplacian of the operator's pair slopes: c = 1 - D, b = mu*lam*D
     on the resolvent form, c the graph and penalty slopes, b = lam on the
     regularized form, and c = 0, b = -1 on the Dirichlet-to-Neumann lift.
-    A small or dense operator's J is dense and solved by np.linalg.solve.
-    The others stay in pair form, solved by Jacobi-PCG to a relative
+    On a direct operator (a block at least half full, or fewer than
+    DIRECT_SOLVE_ROWS rows) J is formed and solved by np.linalg.solve; on
+    the others it stays in pair form, solved by Jacobi-PCG to a relative
     residual eta that follows the residual's decrease, 0.9*(|F|/|F_last|)**2
     (Eisenstat and Walker, SIAM J. Sci. Comput. 17, 1996), at most
     FORCING_MAX and no tighter than a tenth of what ``tol`` asks for.
@@ -262,49 +269,40 @@ def _damped_newton(f_and_jac, u0, tol):
     )
 
 
-def _newton_matrix(op, u, c, b):
-    """diag(c) + diag(b)*L at u, L = -op.jacobian(u): dense on a direct
-    (``NonlocalOperator.direct``) operator, op.jacobian(u) with its rows
-    scaled by -b and c added to its diagonal, else in pair form."""
-    if not op.direct:
-        return _PairMatrix(op.laplacian(u), c, b, op.nu)
-    jac = op.jacobian(u)
-    jac *= -b if np.ndim(b) == 0 else (-b)[:, None]
-    jac[np.diag_indices_from(jac)] += c
-    return _DenseMatrix(jac)
+class _NewtonMatrix:
+    """diag(c) + diag(b)*L at u, L = -op.jacobian(u) the weighted graph
+    Laplacian of the operator's pair slopes.
 
-
-class _DenseMatrix:
-    """A dense Newton matrix; ``solve`` writes the shift onto its diagonal
-    (none for shift None) and calls np.linalg.solve, ignoring ``rtol``."""
-
-    def __init__(self, matrix):
-        self.matrix = matrix
-        self.diagonal = np.diag(matrix).copy()
-
-    def solve(self, f, shift=None, rtol=None):
-        if shift is not None:
-            np.fill_diagonal(self.matrix, self.diagonal + shift)
-        return np.linalg.solve(self.matrix, f)
-
-
-class _PairMatrix:
-    """diag(c) + diag(b)*L for L = ``NonlocalOperator.laplacian``, unformed.
-
-    ``solve(f, shift, rtol)`` is (J + shift*I)^-1 f by Jacobi-PCG to a
-    residual of at most rtol*|f|_2, raising np.linalg.LinAlgError on a
-    direction of nonpositive curvature or at the iteration cap; a negative
-    scalar b takes the shift with its sign, so that the system stays
-    definite.  ``iterations`` counts the last solve's CG iterations.
+    On a direct (``NonlocalOperator.direct``) operator it is formed as
+    ``matrix``: op.jacobian(u) with its rows scaled by -b and c added to its
+    diagonal, and ``solve`` writes the shift onto its diagonal (none for
+    shift None) and calls np.linalg.solve, ignoring ``rtol``.  Otherwise
+    ``matrix`` is None and L stays in pair form (``laplacian``): ``solve(f,
+    shift, rtol)`` is (J + shift*I)^-1 f by Jacobi-PCG to a residual of at
+    most rtol*|f|_2, raising np.linalg.LinAlgError on a direction of
+    nonpositive curvature or at the iteration cap; a negative scalar b takes
+    the shift with its sign, so that the system stays definite.
+    ``iterations`` counts the last solve's CG iterations.
     """
 
-    def __init__(self, laplacian, c, b, nu):
-        (self.degree, self.dot), self.nu, self.c = laplacian, nu, c
+    def __init__(self, op, u, c, b):
+        self.nu, self.c, self.iterations = op.nu, c, 0
         self.b = np.asarray(b, dtype=float)  # a scalar b too has ~(b != 0)
-        self.diagonal = c + b * self.degree
-        self.iterations = 0
+        self.matrix = None
+        if op.direct:
+            self.matrix = op.jacobian(u)
+            self.matrix *= -b if np.ndim(b) == 0 else (-b)[:, None]
+            self.matrix[np.diag_indices_from(self.matrix)] += c
+            self.diagonal = np.diag(self.matrix).copy()
+        else:
+            self.degree, self.dot = op.laplacian(u)
+            self.diagonal = c + b * self.degree
 
     def solve(self, f, shift=None, rtol=CG_TIGHT):
+        if self.matrix is not None:
+            if shift is not None:
+                np.fill_diagonal(self.matrix, self.diagonal + shift)
+            return np.linalg.solve(self.matrix, f)
         c, b, zero = self.c, self.b, np.zeros_like(f)
         shift = 0.0 if shift is None else shift
         free = b != 0.0
@@ -405,7 +403,7 @@ def _approx_system(problem, op, n, k, K):
             return f, None
         base = np.maximum(np.abs(u), 1e-12) ** (p - 2.0)
         pen_slope = (p - 1.0) * base * np.where(u >= 0.0, inv_n, inv_k)
-        return f, _newton_matrix(op, u, graph_slope + pen_slope, lam)
+        return f, _NewtonMatrix(op, u, graph_slope + pen_slope, lam)
 
     return f_and_jac
 
@@ -501,7 +499,7 @@ def _resolvent_system(problem, op, mu):
 
     J applies each node's graph resolvent at step mu, and D is its
     derivative, so the Jacobian is I - D*(I + mu*lam*op.jacobian(u)):
-    diag(1 - D) + diag(mu*lam*D)*L in the form of ``_newton_matrix``.
+    diag(1 - D) + diag(mu*lam*D)*L in the form of ``_NewtonMatrix``.
     """
     phi = problem.phi[op.rows]
     lam = problem.lambda_scale
@@ -519,7 +517,7 @@ def _resolvent_system(problem, op, mu):
         f = u - r
         if not want_jac:
             return f, None
-        return f, _newton_matrix(op, u, 1.0 - d, (mu * lam) * d)
+        return f, _NewtonMatrix(op, u, 1.0 - d, (mu * lam) * d)
 
     return f_and_jac
 

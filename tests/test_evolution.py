@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_space
+from conftest import evolution_instance, random_space
 from nldiff import evolution
 from nldiff.errors import CompatibilityViolated, InvalidParameter
 from nldiff.evolution import (
@@ -17,6 +17,7 @@ from nldiff.evolution import (
     dtn_evolve,
     mild_solve,
     refine_and_compare,
+    resolvent_dynamical,
     resolvent_static_boundary,
     strong_residual,
 )
@@ -224,6 +225,40 @@ def test_static_resolvent_frozen():
     assert v[0] == pytest.approx(2 / 3, abs=1e-10)
     assert np.allclose(u, [2 / 3, 1 / 3], atol=1e-9)
     assert w[0] == pytest.approx(1 / 3, abs=1e-10)
+
+
+
+@pytest.mark.parametrize("mode", ["dynamical", "static_boundary"])
+def test_exported_resolvents_are_the_first_implicit_step(mode):
+    """resolvent_dynamical and resolvent_static_boundary at the step tau,
+    applied to the initial states, give the first step of mild_solve
+    without sources, bit for bit."""
+    steps = 4
+    for seed in range(40):
+        problem, _ = evolution_instance(seed, mode, allow_forcing=False)
+        sol = mild_solve(problem, steps)
+        tau = problem.horizon / steps
+        o1, o2 = problem.partition.omega1, problem.partition.omega2
+        if mode == "dynamical":
+            psi = np.zeros(problem.space.node_count)
+            psi[o1], psi[o2] = problem.v0, problem.w0
+            pair = resolvent_dynamical(problem, tau, psi)
+            v, u, w = pair.v[o1], pair.u, pair.v[o2]
+        else:
+            v, u, w = resolvent_static_boundary(problem, tau, problem.v0)
+        assert v.tobytes() == sol.v[1].tobytes(), seed
+        assert u.tobytes() == sol.u[0].tobytes(), seed
+        assert w.tobytes() == sol.w[1].tobytes(), seed
+
+
+@pytest.mark.parametrize("lam", [0.0, -0.5])
+def test_exported_resolvents_reject_a_nonpositive_step(lam):
+    problem, _ = evolution_instance(0, "dynamical", allow_forcing=False)
+    with pytest.raises(InvalidParameter):
+        resolvent_dynamical(problem, lam, np.zeros(problem.space.node_count))
+    problem, _ = evolution_instance(0, "static_boundary", allow_forcing=False)
+    with pytest.raises(InvalidParameter):
+        resolvent_static_boundary(problem, lam, problem.v0)
 
 
 # -- compatibility -------------------------------------------------------------
@@ -513,3 +548,62 @@ def test_obstacle_grid_trajectories_verify_every_step(step_pairs):
     assert len(step_pairs) == 64
     for problem, pair in step_pairs:
         assert verify_solution(problem, pair, DEFAULT_TOL).passed
+
+
+# -- T-contraction ---------------------------------------------------------------
+
+def _one_sided_distance(problem, sol1, sol2):
+    """sum nu*(v1 - v2)+ at every time, plus sum nu*(w1 - w2)+ in the
+    dynamical mode, where w is a state too."""
+    nu = problem.space.nu
+    dist = np.maximum(sol1.v - sol2.v, 0.0) @ nu[problem.partition.omega1]
+    if problem.mode == "dynamical":
+        dist += np.maximum(sol1.w - sol2.w, 0.0) @ nu[problem.partition.omega2]
+    return dist
+
+
+def _dtn_solve(problem, steps):
+    return dtn_evolve(problem.space, problem.partition.omega1, problem.flux,
+                      problem.g, problem.w0, problem.horizon, steps)
+
+
+def _contraction_pairs():
+    """(problem, partner, solve): trajectories that differ only in their
+    initial states, and the solver that marches them."""
+    for law in ("stefan", "obstacle", "power2"):
+        for seed in range(3):
+            problem, other = grid_problem(seed, law), grid_problem(seed + 10, law)
+            partner = dataclasses.replace(problem, v0=other.v0, w0=other.w0)
+            yield problem, partner, mild_solve
+        static = dataclasses.replace(problem, mode="static_boundary", w0=None, g=None)
+        yield static, dataclasses.replace(static, v0=other.v0), mild_solve
+    width = RING.omega2.size
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        g, w0 = rng.uniform(-0.5, 0.5, width), rng.uniform(-1.0, 1.0, width)
+        dtn = evolution._dtn_problem(GRID, RING.omega1, P2, g, w0, 0.5)
+        partner = dataclasses.replace(dtn, w0=rng.uniform(-1.0, 1.0, width))
+        yield dtn, partner, _dtn_solve
+
+
+def test_trajectories_are_t_contractions():
+    """Two trajectories of the same problem from different initial states:
+    the one-sided distance sum nu*(state1 - state2)+, either way round,
+    never grows by more than the two trajectories' residual allowance per
+    step, 2*DEFAULT_TOL*(1 + max|psi|)*nu(Omega), the allowance of the
+    benchmark's contraction check.  Covers the dynamical mode (Stefan,
+    obstacle and power-2 laws), the static-boundary mode and dtn_evolve."""
+    steps = 4
+    for problem, partner, solve in _contraction_pairs():
+        sols = [solve(p, steps) for p in (problem, partner)]
+        states = [s.v for s in sols]
+        if problem.mode == "dynamical":
+            states += [s.w for s in sols]
+        tau = problem.horizon / steps
+        psi = max(float(np.max(np.abs(x), initial=0.0)) for x in states)
+        psi += tau * max(float(np.max(np.abs(s.f_averages))) for s in sols)
+        nu_omega = float(problem.space.nu[problem.partition.omega].sum())
+        allowance = 2.0 * DEFAULT_TOL * (1.0 + psi) * nu_omega
+        for first, second in (sols, sols[::-1]):
+            dist = _one_sided_distance(problem, first, second)
+            assert np.all(np.diff(dist) <= allowance), (problem.mode, dist)

@@ -230,8 +230,8 @@ def grid_space(side):
 )
 def test_operator_jacobian_matches_finite_differences(name, block):
     rng = np.random.default_rng(11)
-    # the random space's blocks are at least half full and keep every entry,
-    # the grid's blocks keep only their nonzero pairs
+    # the random space's blocks are at least half full, the grid's are
+    # sparse; both keep only their nonzero pairs
     grid, _, block = block.rpartition("-")
     space = grid_space(6) if grid else random_space(rng, 7)
     if block == "closure":
@@ -252,7 +252,6 @@ def test_operator_jacobian_matches_finite_differences(name, block):
         step[pos] = h
         fd[:, k] = (op.apply(u + step) - op.apply(u - step)) / (2.0 * h)
     jac = op.jacobian(u)
-    assert op._dense == (not grid)
     assert jac.shape == (rows.size, rows.size)
     assert np.allclose(jac, fd, rtol=1e-5, atol=1e-6 * float(np.max(np.abs(fd))))
 
@@ -263,7 +262,8 @@ def test_importing_nldiff_loads_no_scipy():
     """nldiff runs on numpy alone.  Importing scipy.sparse.linalg raises the
     peak resident memory of a Python process by about 32 MB (scipy 1.17,
     x86-64), eight times the 10 % peak-memory bound of the 40 MB
-    free-boundary benchmark workload, so the Newton block solve is numpy."""
+    free-boundary benchmark workload, so the Newton linear solves, dense
+    and matrix-free, are numpy."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(nldiff.__file__)))
     code = (
         "import sys, nldiff, nldiff.cli; "
