@@ -55,8 +55,9 @@ from .stationary import verify_solution  # noqa: F401
 _KINDS = ("stationary", "evolve-dynamical", "evolve-static", "dtn", "check")
 
 
-def _fmt(x) -> str:
-    return "%.17g" % float(x)
+def _cells(values) -> list:
+    """Each value written "%.17g", in row-major order: one column's cells."""
+    return ["%.17g" % x for x in np.ravel(values).tolist()]
 
 
 def _atomic_write(path, text):
@@ -214,33 +215,42 @@ def _evolution_problem(cfg, base_dir, kind):
 # output writers
 # ---------------------------------------------------------------------------
 
-def _write_solution_csv(path, problem, pair):
-    lines = ["node,u,v"]
-    for node in problem.partition.omega:
-        lines.append(
-            "%d,%s,%s" % (node, _fmt(pair.u[node]), _fmt(pair.v[node]))
-        )
+def _write_csv(path, header, columns):
+    """A CSV file of equally long columns of cells."""
+    lines = [header] + [",".join(row) for row in zip(*columns)]
     _atomic_write(path, "\n".join(lines) + "\n")
+
+
+def _nodes(nodes) -> list:
+    return [str(node) for node in nodes.tolist()]
+
+
+def _write_solution_csv(path, problem, pair):
+    omega = problem.partition.omega
+    _write_csv(path, "node,u,v",
+               (_nodes(omega), _cells(pair.u[omega]), _cells(pair.v[omega])))
 
 
 def _write_trajectory_csv(path, problem, solution):
-    o1 = problem.partition.omega1
-    o2 = problem.partition.omega2
-    pos1 = {int(node): i for i, node in enumerate(o1)}
-    pos2 = {int(node): i for i, node in enumerate(o2)}
-    lines = ["t,node,u,v,w"]
-    for i, t in enumerate(solution.times):
-        ts = _fmt(t)
-        for node in problem.partition.omega:
-            node = int(node)
-            u_cell = "" if i == 0 else _fmt(solution.u[i - 1][node])
-            if node in pos1:
-                v_cell, w_cell = _fmt(solution.v[i][pos1[node]]), ""
-            else:
-                w = solution.w[i][pos2[node]]
-                v_cell, w_cell = "", ("" if np.isnan(w) else _fmt(w))
-            lines.append("%s,%d,%s,%s,%s" % (ts, node, u_cell, v_cell, w_cell))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """One row per time and node of Omega: u from the first step on, v on
+    the bulk, w on the boundary where it is not NaN, empty cells
+    elsewhere."""
+    omega = problem.partition.omega
+    mask = problem.partition.boundary_mask
+    rows = solution.times.size
+    state = np.empty((rows, omega.size))
+    state[:, ~mask] = solution.v
+    state[:, mask] = solution.w
+    cells = _cells(state)
+    boundary = np.tile(mask, rows)
+    no_w = (~boundary | np.isnan(state).ravel()).tolist()
+    _write_csv(path, "t,node,u,v,w", (
+        [t for t in _cells(solution.times) for _ in range(omega.size)],
+        _nodes(omega) * rows,
+        [""] * omega.size + _cells(solution.u[:, omega]),
+        ["" if b else c for c, b in zip(cells, boundary.tolist())],
+        ["" if skip else c for c, skip in zip(cells, no_w)],
+    ))
 
 
 def _mass_table(problem, solution):
@@ -272,11 +282,9 @@ def _mass_table(problem, solution):
     return rows
 
 
-def _write_mass_csv(path, problem, solution):
-    lines = ["t,mass_omega1,mass_omega2,source_integral"]
-    for t, m1, m2, src in _mass_table(problem, solution):
-        lines.append(",".join(_fmt(x) for x in (t, m1, m2, src)))
-    _atomic_write(path, "\n".join(lines) + "\n")
+def _write_mass_csv(path, mass_rows):
+    _write_csv(path, "t,mass_omega1,mass_omega2,source_integral",
+               [_cells(column) for column in zip(*mass_rows)])
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +331,8 @@ def _run_evolution(cfg, base_dir, out_dir, stem, kind):
     mass_path = os.path.join(out_dir, stem + "_mass.csv")
     report_path = os.path.join(out_dir, stem + "_report.json")
     _write_trajectory_csv(trajectory_path, problem, solution)
-    _write_mass_csv(mass_path, problem, solution)
     mass_rows = _mass_table(problem, solution)
+    _write_mass_csv(mass_path, mass_rows)
     report = {
         "kind": kind,
         "mode": solution.mode,

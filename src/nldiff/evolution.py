@@ -16,6 +16,7 @@ graph on the interior and the identity on the boundary.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -218,6 +219,14 @@ class EvolutionProblem:
         _as_source(self.f, n1, horizon, "f")
         if self.mode == "dynamical":
             _as_source(self.g, n2, horizon, "g")
+
+    @cached_property
+    def _shared_operator(self):
+        """The operator over Omega, taken on first use and shared by every
+        trajectory of the problem (refinements included) and its strong
+        residual."""
+        omega = self.partition.omega
+        return NonlocalOperator.shared(self.space, self.flux, omega, omega)
 
 
 @dataclass(frozen=True)
@@ -429,9 +438,10 @@ def mild_solve(problem, n_steps) -> MildSolution:
     Each step solves one stationary problem with the step size as the
     divergence scaling and the forcing folded into the data, so the
     per-step conservation identity telescopes into the mass ledger.  The
-    domain is checked and the operator built once per trajectory, the
-    range condition on every step, and each step's resolvent Newton starts
-    from the previous step's potential, for every pair of graphs.  Raises
+    domain is checked once per trajectory, every step runs on the
+    problem's shared operator, the range condition is checked on every
+    step, and each step's resolvent Newton starts from the previous
+    step's potential, for every pair of graphs.  Raises
     CompatibilityViolated when the probe fails up front or a step loses
     range feasibility, and SolverDiverged from the inner solver.  The
     solution carries the passed CompatibilityReport of the probe.
@@ -477,7 +487,8 @@ def mild_solve(problem, n_steps) -> MildSolution:
     state[o1] = problem.v0
     if dynamical:
         state[o2] = problem.w0
-    op = u_start = None
+    op = problem._shared_operator
+    u_start = None
     for i in range(1, n + 1):
         t0, t1 = times[i - 1], times[i]
         forcing = np.zeros(nn)
@@ -486,9 +497,8 @@ def mild_solve(problem, n_steps) -> MildSolution:
             forcing[o2] = _source_average(gk, gp, t0, t1, o2.size, "g")
         psi = state + tau * forcing
         stat = _step_problem(problem, problem.beta if dynamical else beta_tau, psi, tau)
-        if op is None:
+        if i == 1:
             _check_domain(stat)
-            op = stat._operator()
         try:
             _check_feasible(stat)
         except RangeInfeasible as exc:
@@ -598,7 +608,7 @@ def strong_residual(problem, solution) -> StrongResidualReport:
     n = solution.step_count
     tau = problem.horizon / n
     dynamical = problem.mode == "dynamical"
-    op = NonlocalOperator(space, problem.flux, omega, omega)
+    op = problem._shared_operator
 
     jstar_initial = _conjugate_sum(problem.gamma, solution.v[0], nu1, "v0")
     jstar_final = _conjugate_sum(problem.gamma, solution.v[n], nu1, "v(T)")
@@ -675,10 +685,10 @@ def dtn_apply(space, W, flux, f_boundary):
         op = NonlocalOperator(space, flux, w_nodes, cl)
         w_cols = np.searchsorted(cl, w_nodes)
 
-        def f_and_jac(z, want_jac):
+        def f_and_jac(z):
             u = u_template[cl]
             u[w_cols] = z
-            return op.apply(u), _NewtonMatrix(op, u, 0.0, -1.0) if want_jac else None
+            return op.apply(u), lambda: _NewtonMatrix(op, u, 0.0, -1.0)
 
         scale = 1.0 + float(np.max(np.abs(f_boundary)))
         start = np.full(w_nodes.size, float(f_boundary.mean()))

@@ -175,10 +175,11 @@ class NonlocalOperator:
     them (i, j, m[x_i, y_j]), the stored ones sorted by row, whose row sums
     np.add.reduceat takes; every method runs over them alone, on dense and
     sparse blocks alike.  The flux is evaluated through ``flux`` on those
-    pairs at every application.  The differences of the last u are kept,
-    so that a Newton step's residual and Jacobian at one u form them once;
-    they are read-only because every later call with the same u shares
-    them.
+    pairs at every application.  The differences of the last u, and its
+    flux terms once formed, are kept, so that a Newton step's residual and
+    Jacobian at one u, and the equation's terms at the point it stops,
+    form them once; they are read-only because every later call with the
+    same u shares them.
     """
 
     def __init__(self, space, flux, rows, cols, integration_set="Q1"):
@@ -195,7 +196,21 @@ class NonlocalOperator:
         self._x, self._y = rows[i], cols[j]
         self._ui = np.searchsorted(self.nodes, rows)[i]
         self._uj = np.searchsorted(self.nodes, cols)[j]
-        self._last_u = self._last_du = None
+        self._last_u = self._last_du = self._last_terms = None
+
+    @classmethod
+    def shared(cls, space, flux, rows, cols, integration_set="Q1"):
+        """The operator of the flux on the block, shared through the space:
+        the space keeps the last operator built here, and the same flux on
+        the same block gets it back, so that evolution problems that differ
+        only in their graphs, states and sources hold one operator."""
+        iset = integration_set
+        key = (rows.tobytes(), cols.tobytes(),
+               iset if isinstance(iset, str) else (iset[0], np.asarray(iset[1]).tobytes()))
+        last = space._last_operator
+        if last is None or last[0] is not flux or last[1] != key:
+            last = space._last_operator = (flux, key, cls(space, flux, rows, cols, iset))
+        return last[2]
 
     @property
     def direct(self):
@@ -233,7 +248,7 @@ class NonlocalOperator:
             du = u[self._uj]
             du -= u[self._ui]  # in place: one pair-length temporary fewer
             du.flags.writeable = False
-            self._last_u, self._last_du = u.copy(), du
+            self._last_u, self._last_du, self._last_terms = u.copy(), du, None
         return self._last_du
 
     def _row_sums(self, values):
@@ -249,7 +264,12 @@ class NonlocalOperator:
 
     def _terms(self, u):
         """The kernel-weighted flux values of the pairs, which ``apply`` sums."""
-        return self.weights * self.flux.evaluate(self._x, self._y, self._differences(u))
+        du = self._differences(u)
+        if self._last_terms is None:
+            terms = self.weights * self.flux.evaluate(self._x, self._y, du)
+            terms.flags.writeable = False
+            self._last_terms = terms
+        return self._last_terms
 
     def slopes(self, u):
         """The kernel-weighted floored flux slopes m*a' of the pairs."""

@@ -19,6 +19,16 @@ regularization parameter.  The regularized (Yosida) value is read off the
 resolvent: lam*(s - r) clipped into the graph at r = J_{1/lam}(s), which off
 vertical elements is the piece's value at r; its slope g'/(1 + g'/lam) comes
 from the graph's slope g' at r.
+
+``resolvent``, ``resolvent_slope`` and ``interval`` run in table form: the
+constructor lays the elements out as arrays, and a query finds each point's
+element with one searchsorted and evaluates it with gathers, with no loop
+over the elements; only power pieces with e != 2 take the bracketed Newton,
+each on its own points.  The results are those of evaluating the elements
+one by one, bit for bit: a vertical element gives its knot exactly, a clip
+keeps a value equal to a bound as np.clip does with scalar bounds, a flat
+piece is its constant (a + 0*r is NaN at +-inf), and a power piece takes
+numpy's power at its own scalar exponent.
 """
 from __future__ import annotations
 
@@ -88,6 +98,13 @@ class MonotoneGraph:
         "jumps",
         "_corner_r",
         "_corner_v",
+        "_ends",
+        "_values",
+        "_power",
+        "_exponents",
+        "_newton",
+        "_run",
+        "_at_mu",
         "_plus",
         "_minus",
         "_inv",
@@ -146,6 +163,7 @@ class MonotoneGraph:
         }
         self._corner_r = np.array([first.r0] + [el.r1 for el in els])
         self._corner_v = np.array([first.v0] + [el.v1 for el in els])
+        self._build_table(els)
         self._plus = None
         self._minus = None
         self._inv = None
@@ -153,36 +171,98 @@ class MonotoneGraph:
         if not (lo <= 0.0 <= hi):
             raise InvalidParameter("graph must contain (0, 0)")
 
+    def _build_table(self, els):
+        """The per-element rows, in path order, that the queries gather:
+        ``_ends`` r0, r1; ``_values`` affine a, b (0 elsewhere), v0, v1 and
+        the graph slope (b, inf on a vertical element); ``_power`` c, e and
+        c*e (0 elsewhere), None without power elements.  ``_newton`` lists
+        the power elements with e != 2, and ``_run`` is the most elements
+        that hold one r, at a knot."""
+        def column(kind, value):
+            return [value(el) if el.kind == kind else 0.0 for el in els]
+
+        a, b = column("affine", lambda el: el.p), column("affine", lambda el: el.q)
+        slope = [_INF if el.kind == "vertical" else q for el, q in zip(els, b)]
+        self._ends = np.array([[el.r0 for el in els], [el.r1 for el in els]])
+        self._values = np.array([a, b, [el.v0 for el in els],
+                                 [el.v1 for el in els], slope])
+        self._exponents = tuple(sorted({el.q for el in els if el.kind == "power"}))
+        self._power = None
+        if self._exponents:
+            self._power = np.array([column("power", lambda el: el.p),
+                                    column("power", lambda el: el.q),
+                                    column("power", lambda el: el.p * el.q)])
+        self._newton = tuple(i for i, el in enumerate(els)
+                             if el.kind == "power" and el.q != 2.0)
+        first, last = self._run_ends(self._corner_r)
+        self._run = int(np.max(last - first)) + 1
+        self._at_mu = None
+
+    def _run_ends(self, r):
+        """The first and last element holding each r: the elements with
+        r1 >= r and r0 <= r, consecutive in path order.  A NaN r has
+        last < first."""
+        return (np.searchsorted(self._ends[1], r, side="left"),
+                np.searchsorted(self._ends[0], r, side="right") - 1)
+
     # -- basic queries ------------------------------------------------------
 
     def interval(self, r):
         """Closed value interval at r; raises outside the domain.
 
         An array r gives a pair of arrays of its shape, a scalar r a pair
-        of floats.  Each element that holds a point of r is evaluated on
-        all of r, so a scalar stays 0-d and takes numpy's scalar power.
+        of floats.  Off the knots one element holds r, and the interval is
+        its bounds there; at a knot the bounds of the elements holding it
+        are folded in path order with np.minimum and np.maximum, which
+        settles the sign of a zero as an element-by-element fold would.
+        A scalar r takes numpy's scalar power on a power piece.
         """
         r = np.asarray(r, dtype=float)
-        outside = (r < self.domain[0]) | (r > self.domain[1])
-        if np.count_nonzero(outside):
-            raise InvalidParameter(
-                "r=%g outside domain %s" % (r[outside].flat[0], self.domain)
-            )
-        lo = np.full(r.shape, _INF)
-        hi = np.full(r.shape, -_INF)
-        for el in self.elements:
-            m = (el.r0 <= r) & (r <= el.r1)
-            if not np.count_nonzero(m):
-                continue
-            if el.kind == "vertical":
-                bot, top = el.v0, el.v1
-            else:
-                bot = top = _piece_values(el, r)
-            np.minimum(lo, bot, out=lo, where=m)
-            np.maximum(hi, top, out=hi, where=m)
-        if r.ndim == 0:
-            return float(lo), float(hi)
-        return lo, hi
+        if self.domain[0] > -_INF or self.domain[1] < _INF:
+            outside = (r < self.domain[0]) | (r > self.domain[1])
+            if np.count_nonzero(outside):
+                raise InvalidParameter(
+                    "r=%g outside domain %s" % (r[outside].flat[0], self.domain)
+                )
+        scalar = r.ndim == 0
+        x = r.reshape(-1)
+        first, last = self._run_ends(x)
+        lo, hi = self._bounds(np.minimum(first, last), x, scalar)
+        more = last - first
+        if more.any():
+            # no element holds NaN
+            lo[more < 0], hi[more < 0] = _INF, -_INF
+            k = np.flatnonzero(more > 0)
+            for step in range(1, self._run):
+                k = k[first[k] + step <= last[k]]
+                if not k.size:
+                    break
+                bot, top = self._bounds(first[k] + step, x[k], scalar)
+                lo[k] = np.minimum(lo[k], bot)
+                hi[k] = np.maximum(hi[k], top)
+        if scalar:
+            return float(lo[0]), float(hi[0])
+        return lo.reshape(r.shape), hi.reshape(r.shape)
+
+    def _bounds(self, j, x, scalar):
+        """(bottom, top) of element j[i]'s values at x[i]: a vertical
+        element's ends, another's value clipped to its value range.  With
+        ``scalar`` x holds one point, whose power runs on a 0-d array."""
+        a, b, v0, v1, slope = self._values[:, j]
+        with np.errstate(invalid="ignore", over="ignore"):
+            # a flat piece is a, where a + 0*x would be NaN at x = +-inf
+            val = np.where(b == 0.0, a, a + b * x)
+            if self._power is not None:
+                c, e_at, _ = self._power[:, j]
+                for e in self._exponents:
+                    on = e_at == e
+                    if on.any():
+                        xe = x[on].reshape(()) if scalar else x[on]
+                        # c*|x|**e is +-inf at x = +-inf; + 0.0 turns -0.0 into 0.0
+                        val[on] = c[on] * np.copysign(np.abs(xe) ** e, xe) + 0.0
+        val = np.minimum(np.maximum(val, v0), v1)
+        vertical = slope == _INF
+        return np.where(vertical, v0, val), np.where(vertical, v1, val)
 
     def minimal_section(self, s) -> float:
         s = float(s)
@@ -208,6 +288,17 @@ class MonotoneGraph:
         # corners are monotone in both coordinates, so sc is sorted
         return sc
 
+    def _scaled(self, mu):
+        """The inner region corners at step mu, and the element rows mu*a,
+        1 + mu*b, r0, r1, the graph slope g' and the resolvent's slope
+        1/(1 + mu*g') off power pieces; kept for the last mu asked."""
+        if self._at_mu is None or self._at_mu[0] != mu:
+            a, b, _, _, slope = self._values
+            rows = np.array([mu * a, 1.0 + mu * b, *self._ends, slope,
+                             1.0 / (1.0 + mu * slope)])
+            self._at_mu = (mu, self._regions(mu)[1:-1], rows)
+        return self._at_mu[1:]
+
     def resolvent(self, mu, s):
         """Solve s in r + mu*graph(r) for r; nonexpansive in s."""
         return self._resolvent_impl(mu, s, want_slope=False)[0]
@@ -223,42 +314,48 @@ class MonotoneGraph:
 
     def _resolvent_impl(self, mu, s, want_slope):
         """J_mu(s), and with want_slope its derivative and the graph's slope
-        at J_mu(s), which is inf on vertical elements."""
+        at J_mu(s), which is inf on vertical elements.
+
+        One searchsorted over the region corners picks each s's element.
+        An affine element's resolvent is (s - mu*a)/(1 + mu*b) clipped into
+        [r0, r1] as np.clip clips to scalar bounds, which keeps a value
+        equal to a bound, sign of zero and all; a vertical element gives
+        its knot; an e = 2 power piece the closed form of ``_power2_root``;
+        other power pieces the bracketed Newton, each on its own points.
+        """
         if mu <= 0:
             raise InvalidParameter("mu must be positive")
-        scalar = np.isscalar(s) or np.ndim(s) == 0
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        sc = self._regions(mu)
-        idx = np.clip(
-            np.searchsorted(sc[1:-1], s, side="right"), 0, len(self.elements) - 1
-        )
-        out = np.empty_like(s)
-        slope = gslope = None
-        if want_slope:
-            gslope = np.empty_like(s)
-        for i, el in enumerate(self.elements):
-            m = idx == i
-            if not np.any(m):
-                continue
-            sm = s[m]
-            if el.kind == "vertical":
-                out[m] = el.r0
-                if want_slope:
-                    gslope[m] = _INF
-            elif el.kind == "affine":
-                out[m] = np.clip((sm - mu * el.p) / (1.0 + mu * el.q), el.r0, el.r1)
-                if want_slope:
-                    gslope[m] = el.q
-            else:
-                r = _resolvent_power(el, mu, sm)
-                out[m] = r
-                if want_slope:
-                    with np.errstate(divide="ignore", over="ignore"):
-                        gslope[m] = el.p * el.q * np.abs(r) ** (el.q - 1.0)
-        if want_slope:
-            slope = 1.0 / (1.0 + mu * gslope)
+        s = np.asarray(s, dtype=float)
+        scalar = s.ndim == 0
         if scalar:
-            return (float(out[0]), float(slope[0]) if want_slope else None, None)
+            s = s.reshape(1)
+        corners, rows = self._scaled(mu)
+        j = np.searchsorted(corners, s, side="right")
+        shift, scale, r0, r1, gslope, slope = rows[:, j]
+        # np.minimum and np.maximum return their second operand on a tie,
+        # which keeps a value equal to a bound
+        out = np.minimum(r1, np.maximum(r0, (s - shift) / scale))
+        out = np.where(gslope == _INF, r0, out)
+        if self._power is not None:
+            c, e_at, ce = self._power[:, j]
+            on = e_at == 2.0
+            if on.any():
+                out[on] = np.minimum(r1[on], np.maximum(
+                    r0[on], _power2_root(mu * c[on], s[on])))
+        for k in self._newton:
+            on = j == k
+            if on.any():
+                out[on] = _resolvent_power(self.elements[k], mu, s[on])
+        if not want_slope:
+            return (float(out[0]) if scalar else out), None, None
+        with np.errstate(divide="ignore", over="ignore"):
+            for e in self._exponents:
+                on = e_at == e
+                if on.any():
+                    gslope[on] = ce[on] * np.abs(out[on]) ** (e - 1.0)
+                    slope[on] = 1.0 / (1.0 + mu * gslope[on])
+        if scalar:
+            return float(out[0]), float(slope[0]), None
         return out, slope, gslope
 
     def yosida(self, lam, s):
@@ -473,17 +570,11 @@ def _resolvent_power(el: El, mu, s):
     monotonically (the upper end for e > 1, where the residual is convex,
     the lower one for e < 1) and stops once a step is within a few ulp of
     r, relative to r, so exponents below one keep their accuracy near the
-    origin.  For e = 2 the root is the closed form 2a/(1 + sqrt(1 + 4*mu*c*a)),
-    free of cancellation, or sqrt(a/(mu*c)) where 4*mu*c*a overflows.
+    origin.  An e = 2 piece takes ``_power2_root`` instead.
     """
     a = np.abs(s)
     cm = mu * el.p
     e = el.q
-    if e == 2.0:
-        with np.errstate(divide="ignore", over="ignore"):
-            root = np.sqrt(1.0 + 4.0 * cm * a)
-            r = np.where(np.isfinite(root), a / (0.5 + 0.5 * root), np.sqrt(a / cm))
-        return np.clip(np.copysign(r, s), el.r0, el.r1)
     with np.errstate(divide="ignore", over="ignore"):
         lo = 0.5 * np.minimum(0.5 * a, (0.5 * a / cm) ** (1.0 / e))
         hi = np.minimum(a, 2.0 * (a / cm) ** (1.0 / e))
@@ -506,6 +597,17 @@ def _resolvent_power(el: El, mu, s):
             if done.all():
                 break
     return np.clip(np.copysign(r, s), el.r0, el.r1)
+
+
+def _power2_root(cm, s):
+    """Root of r + cm*sign(r)*r**2 = s, elementwise in cm = mu*c and s: the
+    closed form 2a/(1 + sqrt(1 + 4*cm*a)) at a = |s|, free of cancellation,
+    or sqrt(a/cm) where 4*cm*a overflows."""
+    a = np.abs(s)
+    with np.errstate(divide="ignore", over="ignore"):
+        root = np.sqrt(1.0 + 4.0 * cm * a)
+        r = np.where(np.isfinite(root), a / (0.5 + 0.5 * root), np.sqrt(a / cm))
+    return np.copysign(r, s)
 
 
 # ---------------------------------------------------------------------------

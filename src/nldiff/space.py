@@ -61,36 +61,68 @@ class FiniteRandomWalkSpace:
             raise InvalidParameter("nu must have one entry per node")
         if n == 0:
             raise InvalidParameter("space needs at least one node")
-        if not np.all(np.isfinite(kernel)) or not np.all(np.isfinite(nu)):
+        # the pairs nonzero in either direction (rounding can leave one at
+        # 0), in row order; every entry off them is 0
+        support = kernel != 0.0
+        support |= support.T
+        rows, cols = np.nonzero(support)
+        self._set_pairs(rows, cols, kernel[support], kernel[cols, rows], nu,
+                        kernel.sum(axis=1))
+        kernel.setflags(write=False)
+        self._kernel = kernel
+
+    @classmethod
+    def _from_pairs(cls, rows, cols, weights, mirror, nu, row_sums):
+        """A space from its pairs alone, checked as the constructor checks
+        a dense kernel; the dense kernel is formed on first read."""
+        space = cls.__new__(cls)
+        space._set_pairs(rows, cols, weights, mirror, nu, row_sums)
+        space._kernel = None
+        return space
+
+    def _set_pairs(self, rows, cols, weights, mirror, nu, row_sums):
+        """Check and keep the kernel's pairs (rows, cols, weights) in row
+        order, whose support is symmetric, with each pair's mirror entry
+        kernel[col, row], the measure nu and the kernel's row sums.  The
+        entries off the pairs are 0, so the pairs carry every check: finite
+        and nonnegative entries, a positive measure, rows summing to 1
+        within ROW_SUM_TOL and the largest reversibility gap
+        |nu[x]*kernel[x, y] - nu[y]*kernel[y, x]|, which is 0 off them."""
+        if not np.all(np.isfinite(weights)) or not np.all(np.isfinite(nu)):
             raise InvalidParameter("kernel and nu must be finite")
-        if np.any(kernel < 0):
+        if np.any(weights < 0):
             raise InvalidParameter("kernel entries must be nonnegative")
         if np.any(nu <= 0):
             raise InvalidParameter("nu must be strictly positive")
-        row_sums = kernel.sum(axis=1)
-        if np.max(np.abs(row_sums - 1.0)) > ROW_SUM_TOL:
+        worst = float(np.max(np.abs(row_sums - 1.0)))
+        if worst > ROW_SUM_TOL:
             raise InvalidParameter(
-                "kernel rows must sum to 1 within %g (worst %.3e)"
-                % (ROW_SUM_TOL, float(np.max(np.abs(row_sums - 1.0))))
+                "kernel rows must sum to 1 within %g (worst %.3e)" % (ROW_SUM_TOL, worst)
             )
-        # the pairs nonzero in either direction (rounding can leave one at
-        # 0), in row order, 32-bit indexed; off them the gap is 0
-        support = kernel != 0.0
-        support |= support.T
-        rows, cols = (a.astype(np.int32) for a in np.nonzero(support))
-        weights = kernel[support]
-        gap = float(np.max(np.abs(nu[rows] * weights - nu[cols] * kernel[cols, rows])))
+        gap = float(np.max(np.abs(nu[rows] * weights - nu[cols] * mirror)))
         if gap > REVERSIBILITY_TOL * float(np.max(nu)):
             raise InvalidParameter(
                 "nu is not reversible for the kernel (gap %.3e)" % gap
             )
-        kernel.setflags(write=False)
         nu.setflags(write=False)
-        self.kernel = kernel
         self.nu = nu
-        self.node_count = n
+        self.node_count = nu.size
         self.reversibility_gap = gap
-        self._pair_rows, self._pair_cols, self._pair_weights = rows, cols, weights
+        self._pair_rows, self._pair_cols = rows.astype(np.int32), cols.astype(np.int32)
+        self._pair_weights = weights
+        self._connected = {}
+        self._last_operator = None  # NonlocalOperator.shared's
+
+    @property
+    def kernel(self):
+        """The dense (n, n) jump kernel, read-only; a space built from its
+        pairs forms it on the first read."""
+        if self._kernel is None:
+            kernel = np.zeros((self.node_count, self.node_count))
+            kernel[self._pair_rows, self._pair_cols] = self._pair_weights
+            kernel.setflags(write=False)
+            self._kernel = kernel
+        return self._kernel
 
     def block_pairs(self, rows, cols, integration_set="Q1"):
         """(i, j, m): the pairs of the block at sorted node arrays ``rows``
@@ -271,7 +303,10 @@ def from_kernel_grid(points, spacing, kernel_profile) -> FiniteRandomWalkSpace:
     Raw weights are profile(|x - y|) * spacing**dim for x != y; rows are
     then normalized to sum to exactly 1 and nu is the raw weighted degree,
     so reversibility holds bit-exactly despite the truncation of the
-    profile to the sampled stencil.
+    profile to the sampled stencil.  The weights are formed in blocks of
+    rows of about 2**18 entries and kept as pairs, so no n x n array is
+    formed; the distances, and so the weights, are symmetric bit for bit,
+    as x - y is -(y - x) exactly.
 
     Parameters
     ----------
@@ -297,19 +332,35 @@ def from_kernel_grid(points, spacing, kernel_profile) -> FiniteRandomWalkSpace:
         raise InvalidParameter("spacing must be positive")
     if isinstance(kernel_profile, dict):
         kernel_profile = profile_from_config(kernel_profile)
-    dim = pts.shape[1]
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    w = np.asarray(kernel_profile(dist), dtype=float) * spacing**dim
-    if np.any(w < 0) or not np.all(np.isfinite(w)):
-        raise InvalidParameter("kernel profile must be finite and nonnegative")
-    np.fill_diagonal(w, 0.0)
-    w = 0.5 * (w + w.T)  # guard against tiny asymmetry from the distance matrix
-    degree = w.sum(axis=1)
+    n, dim = pts.shape
+    step = max(1, (1 << 18) // n)
+    degree, row_sums = np.empty(n), np.empty(n)
+    rows, cols, weights = [], [], []
+    for start in range(0, n, step):
+        block = slice(start, min(n, start + step))
+        diff = pts[block, None, :] - pts[None, :, :]
+        dist = np.sqrt((diff * diff).sum(axis=2))
+        w = np.asarray(kernel_profile(dist), dtype=float) * spacing**dim
+        if np.any(w < 0) or not np.all(np.isfinite(w)):
+            raise InvalidParameter("kernel profile must be finite and nonnegative")
+        local = np.arange(w.shape[0])
+        w[local, start + local] = 0.0
+        degree[block] = w.sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            row_sums[block] = (w / degree[block, None]).sum(axis=1)
+        i, j = np.nonzero(w)
+        rows.append(i + start)
+        cols.append(j)
+        weights.append(w[i, j])
     if np.any(degree <= 0):
         bad = int(np.argmin(degree))
         raise EmptyStencil("point %d sees zero kernel mass" % bad)
-    return FiniteRandomWalkSpace(w / degree[:, None], degree)
+    rows, cols, w = (np.concatenate(a) for a in (rows, cols, weights))
+    # the kernel's pairs: those whose entry or mirror entry stays nonzero
+    m, mirror = w / degree[rows], w / degree[cols]
+    keep = (m != 0.0) | (mirror != 0.0)
+    return FiniteRandomWalkSpace._from_pairs(rows[keep], cols[keep], m[keep],
+                                             mirror[keep], degree, row_sums)
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +393,19 @@ def is_m_connected(space: FiniteRandomWalkSpace, omega) -> bool:
 
     On a finite space this is one component of :func:`breadth_first_levels`
     on the kernel's support restricted to omega; the exhaustive bipartition
-    characterization is exercised in tests.
+    characterization is exercised in tests.  The space keeps the answer for
+    each node set it was asked about, so later checks of the same omega (a
+    solve's, then its energy report's, or each trajectory's on one space)
+    search it once.
     """
     omega = space.node_set(omega)
     if omega.size == 0:
         raise InvalidParameter("omega must be nonempty")
-    i, j, _ = space.block_pairs(omega, omega)
-    return breadth_first_levels(omega.size, i, j)[2] == 1
+    key = omega.tobytes()
+    if key not in space._connected:
+        i, j, _ = space.block_pairs(omega, omega)
+        space._connected[key] = breadth_first_levels(omega.size, i, j)[2] == 1
+    return space._connected[key]
 
 
 # ---------------------------------------------------------------------------

@@ -191,11 +191,14 @@ def _weighted_bound(mass, bound):
 def _damped_newton(f_and_jac, u0, tol):
     """Semismooth Newton with Armijo backtracking and a diagonal shift.
 
-    ``f_and_jac(u, want_jac)`` returns (F, J) with J None when not wanted;
-    J is a fresh ``_NewtonMatrix`` diag(c) + diag(b)*L, L the weighted
-    graph Laplacian of the operator's pair slopes: c = 1 - D, b = mu*lam*D
-    on the resolvent form, c the graph and penalty slopes, b = lam on the
-    regularized form, and c = 0, b = -1 on the Dirichlet-to-Neumann lift.
+    ``f_and_jac(u)`` evaluates the system once at u and returns (F, jac):
+    jac() builds the ``_NewtonMatrix`` at u from the slopes that evaluation
+    took, diag(c) + diag(b)*L, L the weighted graph Laplacian of the
+    operator's pair slopes: c = 1 - D, b = mu*lam*D on the resolvent form,
+    c the graph and penalty slopes, b = lam on the regularized form, and
+    c = 0, b = -1 on the Dirichlet-to-Neumann lift.  Each point is
+    evaluated once: an accepted trial point becomes the iterate with its
+    F, and only then is its matrix built.
     On a direct operator (a block at least half full, or fewer than
     DIRECT_SOLVE_ROWS rows) J is formed and solved by np.linalg.solve; on
     the others it stays in pair form, solved by Jacobi-PCG to a relative
@@ -222,7 +225,8 @@ def _damped_newton(f_and_jac, u0, tol):
     Returns (u, residual_inf, iterations); raises SolverDiverged.
     """
     u = np.array(u0, dtype=float)
-    f, jac = f_and_jac(u, True)
+    f, jac = f_and_jac(u)
+    jac = jac()
     res = float(np.max(np.abs(f)))
     best = res
     mu = 0.0
@@ -246,12 +250,11 @@ def _damped_newton(f_and_jac, u0, tol):
                 alpha = 1.0
                 while alpha > 1e-12:
                     trial = u - alpha * step
-                    ft, _ = f_and_jac(trial, False)
+                    ft, jac_t = f_and_jac(trial)
                     if np.all(np.isfinite(ft)):
                         merit_t = 0.5 * float(ft @ ft)
                         if merit_t <= merit * (1.0 - 1e-4 * alpha) + 1e-300:
-                            u = trial
-                            f, jac = f_and_jac(u, True)
+                            u, f, jac = trial, ft, jac_t()
                             res = float(np.max(np.abs(f)))
                             best = min(best, res)
                             accepted = True
@@ -275,8 +278,9 @@ class _NewtonMatrix:
 
     On a direct (``NonlocalOperator.direct``) operator it is formed as
     ``matrix``: op.jacobian(u) with its rows scaled by -b and c added to its
-    diagonal, and ``solve`` writes the shift onto its diagonal (none for
-    shift None) and calls np.linalg.solve, ignoring ``rtol``.  Otherwise
+    diagonal through the flat stride, and ``solve`` writes the shift onto
+    its diagonal (none for shift None) and calls np.linalg.solve, ignoring
+    ``rtol``.  Otherwise
     ``matrix`` is None and L stays in pair form (``laplacian``): ``solve(f,
     shift, rtol)`` is (J + shift*I)^-1 f by Jacobi-PCG to a residual of at
     most rtol*|f|_2, raising np.linalg.LinAlgError on a direction of
@@ -292,8 +296,9 @@ class _NewtonMatrix:
         if op.direct:
             self.matrix = op.jacobian(u)
             self.matrix *= -b if np.ndim(b) == 0 else (-b)[:, None]
-            self.matrix[np.diag_indices_from(self.matrix)] += c
-            self.diagonal = np.diag(self.matrix).copy()
+            diagonal = self.matrix.reshape(-1)[:: self.matrix.shape[0] + 1]
+            diagonal += c
+            self.diagonal = diagonal.copy()
         else:
             self.degree, self.dot = op.laplacian(u)
             self.diagonal = c + b * self.degree
@@ -318,7 +323,7 @@ class _NewtonMatrix:
         stop = rtol * math.sqrt(float(f @ f))
         z = inverse * r
         p, rz = z.copy(), float(r @ z)
-        for self.iterations in range(CG_ITERATIONS_PER_ROW * f.size + 1):
+        for self.iterations in range(int(CG_ITERATIONS_PER_ROW * f.size) + 1):
             ro = r * unscale
             if math.sqrt(float(ro @ ro)) <= stop:
                 return x
@@ -343,7 +348,7 @@ def _last_step(f_and_jac, u, f, jac, res):
         trial = u - jac.solve(f)
     except np.linalg.LinAlgError:
         return u, res
-    ft, _ = f_and_jac(trial, False)
+    ft, _ = f_and_jac(trial)
     res_t = float(np.max(np.abs(ft)))
     return (trial, res_t) if res_t < res else (u, res)
 
@@ -381,29 +386,27 @@ def _approx_system(problem, op, n, k, K):
         for g, mask in problem._graph_parts
     ]
 
-    def f_and_jac(u, want_jac):
+    def f_and_jac(u):
         graph_val = np.empty_like(u)
-        graph_slope = np.empty_like(u) if want_jac else None
+        graph_slope = np.empty_like(u)
         for mask, gp, gm in parts:
-            if want_jac:
-                vp, sp = gp.yosida_slope(k, u[mask])
-                vm, sm = gm.yosida_slope(n, u[mask])
-                sp = np.where(np.abs(vp) >= K, 0.0, sp)
-                sm = np.where(np.abs(vm) >= K, 0.0, sm)
-                graph_slope[mask] = sp + sm
-            else:
-                vp = gp.yosida(k, u[mask])
-                vm = gm.yosida(n, u[mask])
+            vp, sp = gp.yosida_slope(k, u[mask])
+            vm, sm = gm.yosida_slope(n, u[mask])
+            sp = np.where(np.abs(vp) >= K, 0.0, sp)
+            sm = np.where(np.abs(vm) >= K, 0.0, sm)
+            graph_slope[mask] = sp + sm
             graph_val[mask] = np.clip(vp, -K, K) + np.clip(vm, -K, K)
         up = np.maximum(u, 0.0)
         um = np.maximum(-u, 0.0)
         pen = inv_n * up ** (p - 1.0) - inv_k * um ** (p - 1.0)
         f = graph_val + pen - lam * op.apply(u) - phi
-        if not want_jac:
-            return f, None
-        base = np.maximum(np.abs(u), 1e-12) ** (p - 2.0)
-        pen_slope = (p - 1.0) * base * np.where(u >= 0.0, inv_n, inv_k)
-        return f, _NewtonMatrix(op, u, graph_slope + pen_slope, lam)
+
+        def jac():
+            base = np.maximum(np.abs(u), 1e-12) ** (p - 2.0)
+            pen_slope = (p - 1.0) * base * np.where(u >= 0.0, inv_n, inv_k)
+            return _NewtonMatrix(op, u, graph_slope + pen_slope, lam)
+
+        return f, jac
 
     return f_and_jac
 
@@ -453,8 +456,16 @@ def _equation_terms(problem, op, u):
 
 def _values_near(g, u, delta):
     """Bounds of the graph's values over [u - delta, u + delta] in its domain."""
-    lo, hi = g.interval(np.clip(np.stack([u - delta, u + delta]), *g.domain))
+    lo, hi = g.interval(np.clip(np.array([u - delta, u + delta]), *g.domain))
     return lo[0], hi[1]
+
+
+def _graph_bounds(problem, u, delta):
+    """(lo, hi) over Omega: ``_values_near`` of each node's graph part."""
+    lo, hi = np.empty_like(u), np.empty_like(u)
+    for g, mask in problem._graph_parts:
+        lo[mask], hi[mask] = _values_near(g, u[mask], delta[mask])
+    return lo, hi
 
 
 def _recover_pair(problem, u_sub, op, tol, iterations):
@@ -470,12 +481,8 @@ def _recover_pair(problem, u_sub, op, tol, iterations):
     lam_div, size = _equation_terms(problem, op, u_sub)
     v = problem.phi[omega] + lam_div
     gap_tol = tol * (size + np.abs(v))
-    delta = tol * (1.0 + np.abs(u_sub))
-    bounds = []
-    for g, mask in problem._graph_parts:
-        lo, hi = _values_near(g, u_sub[mask], delta[mask])
-        v[mask] = _clamp_near(v[mask], lo, hi, gap_tol[mask])
-        bounds.append((lo, hi))
+    bounds = _graph_bounds(problem, u_sub, tol * (1.0 + np.abs(u_sub)))
+    v = _clamp_near(v, *bounds, gap_tol)
     report = _verify(problem, u_sub, v, tol, lam_div, bounds)
     if not report.passed:
         raise SolverDiverged(
@@ -505,19 +512,13 @@ def _resolvent_system(problem, op, mu):
     lam = problem.lambda_scale
     parts = problem._graph_parts
 
-    def f_and_jac(u, want_jac):
+    def f_and_jac(u):
         s = u + mu * (phi + lam * op.apply(u))
         r = np.empty_like(u)
-        d = np.empty_like(u) if want_jac else None
+        d = np.empty_like(u)
         for g, mask in parts:
-            if want_jac:
-                r[mask], d[mask] = g.resolvent_slope(mu, s[mask])
-            else:
-                r[mask] = g.resolvent(mu, s[mask])
-        f = u - r
-        if not want_jac:
-            return f, None
-        return f, _NewtonMatrix(op, u, 1.0 - d, (mu * lam) * d)
+            r[mask], d[mask] = g.resolvent_slope(mu, s[mask])
+        return u - r, lambda: _NewtonMatrix(op, u, 1.0 - d, (mu * lam) * d)
 
     return f_and_jac
 
@@ -528,18 +529,22 @@ def _resolvent_newton(problem, op, start, tol, reached):
     The step is mu = min(1, 1/lambda).  Off the graphs' jumps F is mu
     times the equation's residual, so Newton stops at 1e-12*mu times the
     largest size of the equation's terms at ``start``.  ``reached[0]`` is
-    set to each point Newton moves to.  Raises SolverDiverged when Newton
-    stalls or its pair fails verification.
+    set to each point whose Newton matrix is built, the points Newton
+    moves to.  Raises SolverDiverged when Newton stalls or its pair fails
+    verification.
     """
     mu = min(1.0, 1.0 / problem.lambda_scale)
     _, size = _equation_terms(problem, op, start)
     fj = _resolvent_system(problem, op, mu)
 
-    def f_and_jac(u, want_jac):
-        # Newton takes the Jacobian at each point it moves to, and only there
-        if want_jac:
+    def f_and_jac(u):
+        f, jac = fj(u)
+
+        def reached_jac():
             reached[0] = u
-        return fj(u, want_jac)
+            return jac()
+
+        return f, reached_jac
 
     u, _, its = _damped_newton(f_and_jac, start, 1e-12 * mu * float(np.max(size)))
     # u is within the stopping tolerance of the resolvent image, which lies
@@ -674,19 +679,23 @@ def verify_solution(problem, pair, tol) -> VerificationReport:
 
 def _verify(problem, u, v, tol, lam_div, bounds=None):
     """``verify_solution`` on u and v over Omega, with lam*div u at hand,
-    and the ``_values_near`` bounds of each graph part if formed."""
+    and the ``_graph_bounds`` at u if formed.  A node more than its
+    tolerance outside its graph's domain makes the inclusion gap inf; the
+    other nodes' gaps are measured against the bounds."""
     omega = problem.partition.omega
     inclusion = 0.0
     delta = tol * (1.0 + np.abs(u))
-    for k, (g, mask) in enumerate(problem._graph_parts):
+    lo, hi = _graph_bounds(problem, u, delta) if bounds is None else bounds
+    gap = np.where(v > hi, v - hi, np.where(v < lo, lo - v, 0.0))
+    for g, mask in problem._graph_parts:
         dlo, dhi = g.domain
-        u_part, d_part, v_part = u[mask], delta[mask], v[mask]
-        outside = (u_part < dlo - d_part) | (u_part > dhi + d_part)
-        if np.any(outside):
-            inclusion = float("inf")
-        lo, hi = _values_near(g, u_part, d_part) if bounds is None else bounds[k]
-        gap = np.where(v_part > hi, v_part - hi, np.where(v_part < lo, lo - v_part, 0.0))
-        inclusion = max(inclusion, float(np.max(gap[~outside], initial=0.0)))
+        if math.isfinite(dlo) or math.isfinite(dhi):
+            part = np.flatnonzero(mask)
+            outside = (u[part] < dlo - delta[part]) | (u[part] > dhi + delta[part])
+            if np.any(outside):
+                inclusion = float("inf")
+                gap[part[outside]] = 0.0
+    inclusion = max(inclusion, float(np.max(gap, initial=0.0)))
     eq = float(np.max(np.abs(v - lam_div - problem.phi[omega])))
     nu = problem.space.nu[omega]
     mass_v = float((nu * v).sum())

@@ -6,8 +6,10 @@ import json
 import pytest
 
 from nldiff import cli
+from nldiff import space as space_module
 from nldiff.cli import check, main, run
 from nldiff.evolution import compatibility_check, refine_and_compare
+from nldiff.flux import NonlocalOperator
 from nldiff.stationary import check_range, solve_gp, verify_solution
 
 TWO_NODE_SPACE = {"type": "weighted_graph", "weights": [[0.0, 1.0], [1.0, 0.0]]}
@@ -263,6 +265,41 @@ def test_dtn_run(tmp_path, capsys):
     mass = read_csv(tmp_path / "bdry_mass.csv")
     # antisymmetric data on a symmetric path: the boundary mass stays zero
     assert all(abs(float(row["mass_omega2"])) <= 1e-9 for row in mass)
+
+
+def test_an_op_builds_one_operator_and_searches_connectivity_once(
+        tmp_path, capsys, monkeypatch):
+    """A stationary op searches its omega's connectivity once, for the
+    solve, and its energy report reuses the answer; an evolution op builds
+    one operator over omega, which its trajectory, the refinement's
+    trajectories and the strong residual share."""
+    built, searched = [], []
+    init, levels = NonlocalOperator.__init__, space_module.breadth_first_levels
+
+    def building(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    def searching(*args):
+        searched.append(args)
+        return levels(*args)
+
+    monkeypatch.setattr(NonlocalOperator, "__init__", building)
+    monkeypatch.setattr(space_module, "breadth_first_levels", searching)
+    configs = {
+        "stationary": stationary_payload(),
+        "evolve": evolve_payload(refine_doublings=2, n_steps=4),
+        "dtn": {"kind": "dtn", "space": TWO_NODE_SPACE, "W": [0],
+                "flux": {"type": "p_laplacian", "p": 2.0}, "w0": [1.0],
+                "horizon": 0.5, "n_steps": 4},
+    }
+    for command, payload in configs.items():
+        built.clear()
+        searched.clear()
+        cfg = write_config(tmp_path, command + ".json", payload)
+        assert main([command, "--config", str(cfg)]) == 0, capsys.readouterr()
+        assert len(built) == 1 and len(searched) == 1, command
+    capsys.readouterr()
 
 
 def test_check_subcommand_accepts_any_kind(tmp_path, capsys):

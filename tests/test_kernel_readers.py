@@ -1,9 +1,11 @@
 """The space owns the kernel's storage: no reader needs the dense matrix.
 
 ``FiniteRandomWalkSpace.kernel`` stays the validated public input, but
-every sum over the walk takes its pairs from ``block_pairs``.  One test
-runs the library with reads of the dense kernel trapped; another scans
-the sources, so that code paths the first does not run stay off it too.
+every sum over the walk takes its pairs from ``block_pairs``; a space
+built from a kernel grid forms the dense kernel only when it is read.  One
+test runs the library with reads of the dense kernel trapped; another
+scans the sources, so that code paths the first does not run stay off it
+too.
 """
 
 import ast
@@ -44,16 +46,15 @@ def grid():
 
 @pytest.fixture
 def kernel_trap(monkeypatch):
-    """Spaces keep their kernel as the constructor sets it, but any later
-    read of ``space.kernel`` fails, also on spaces built before."""
+    """Any read of ``space.kernel`` fails, also on spaces built before.
+    The property is the only way to the dense kernel: a space built from
+    a dense kernel keeps it as ``_kernel``, and one built from its pairs
+    forms it there on the first read, which the trap replaces."""
 
     def read(space):
         raise AssertionError("the dense kernel was read after construction")
 
-    def store(space, kernel):
-        space.__dict__["kernel"] = kernel
-
-    monkeypatch.setattr(FiniteRandomWalkSpace, "kernel", property(read, store),
+    monkeypatch.setattr(FiniteRandomWalkSpace, "kernel", property(read),
                         raising=False)
 
 
@@ -116,19 +117,29 @@ def test_no_reader_touches_the_dense_kernel(kernel_trap, tmp_path, capsys):
     check = json.loads((tmp_path / "check_check.json").read_text())
     assert check["passed"] and [c["name"] for c in check["checks"]] == [
         "reversibility", "connectivity", "poincare_probe"]
+    # the grid space never formed its dense kernel
+    assert space._kernel is None
 
 
 def test_only_the_dense_reference_reads_the_kernel_attribute():
-    """No library module but oracle.py reads an attribute named ``kernel``;
-    space.py only sets it, in the constructor."""
+    """No library module but oracle.py reads an attribute named ``kernel``
+    or ``_kernel``; space.py reads ``_kernel`` only in the ``kernel``
+    property, which forms it."""
     package = pathlib.Path(nldiff.__file__).parent
     readers = {}
     for source in sorted(package.glob("*.py")):
         tree = ast.parse(source.read_text(), filename=str(source))
+        owner = set()
+        if source.name == "space.py":
+            owner = {
+                id(node) for fn in ast.walk(tree)
+                if isinstance(fn, ast.FunctionDef) and fn.name == "kernel"
+                for node in ast.walk(fn)
+            }
         lines = [
             node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr == "kernel"
-            and not isinstance(node.ctx, ast.Store)
+            if isinstance(node, ast.Attribute) and node.attr in ("kernel", "_kernel")
+            and not isinstance(node.ctx, ast.Store) and id(node) not in owner
         ]
         if lines and source.name not in DENSE_READERS:
             readers[source.name] = lines

@@ -116,11 +116,10 @@ def test_resolvent_newton_jacobian_matches_finite_differences(seed):
     op = problem._operator()
     fj = _resolvent_system(problem, op, 1.0)
     u = np.random.default_rng(seed).uniform(-0.8, 0.8, op.rows.size)
-    _, jac = fj(u, True)
-    jac = jac.matrix
+    jac = fj(u)[1]().matrix
     h = 1e-7
     fd = np.column_stack([
-        (fj(u + h * e, False)[0] - fj(u - h * e, False)[0]) / (2.0 * h)
+        (fj(u + h * e)[0] - fj(u - h * e)[0]) / (2.0 * h)
         for e in np.eye(u.size)
     ])
     np.testing.assert_allclose(jac, fd, rtol=1e-6, atol=1e-6)
@@ -260,6 +259,11 @@ def test_disconnected_domain_rejected():
     )
     with pytest.raises(NotConnected):
         solve_gp(problem)
+    # the space keeps the answer, and the energy report still refuses
+    pair = stationary.SolutionPair(u=np.zeros(4), v=np.zeros(4),
+                                   residual_inf=0.0, iterations=0)
+    with pytest.raises(NotConnected):
+        energy_report(problem, pair)
 
 
 # -- solver vs forward-constructed targets -----------------------------------
@@ -360,16 +364,17 @@ def _no_restart(*args):
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """Residual evaluations of the resolvent system, one entry per call."""
+    """Residual evaluations of the resolvent system, one entry per call:
+    the point evaluated."""
     calls = []
     system = stationary._resolvent_system
 
     def counting(*args):
         f_and_jac = system(*args)
 
-        def counted(u, want_jac):
-            calls.append(want_jac)
-            return f_and_jac(u, want_jac)
+        def counted(u):
+            calls.append(u)
+            return f_and_jac(u)
 
         return counted
 
@@ -381,9 +386,9 @@ def evaluations(monkeypatch):
 def test_stress_sweep_solves_on_one_path(scale, evaluations, monkeypatch):
     """Targets scaled by 1e-3 and 1, every p and lambda: the first Newton
     solves and verifies each case, within 4,000 residual evaluations.  All
-    but five need under 600; the most, 1,977 and 1,687, go to p = 5,
+    but five need under 600; the most, 1,931 and 1,627, go to p = 5,
     lambda = 1e4, seed 2001 at 1 and p = 1.5, lambda = 1e4, seed 2003 at
-    1e-3."""
+    1e-3.  The sweeps take 3,560 evaluations at 1 and 6,090 at 1e-3."""
     monkeypatch.setattr(stationary, "_mass_balanced", _no_restart)
     for p in STRESS_P:
         for lam in STRESS_LAMBDA:
@@ -406,7 +411,7 @@ def test_stress_sweep_large_targets_verify_or_raise_in_bounded_work(evaluations)
     """Targets scaled by 1e3: each case verifies or raises SolverDiverged,
     within 20,000 residual evaluations.  62 of the 72 verify; the other ten
     have p = 5 and data from 3e11 to 4e16, where the rounding scale of the
-    pair exceeds the verification tolerances.  The most work, 16,186
+    pair exceeds the verification tolerances.  The most work, 15,346
     evaluations, goes to p = 5, lambda = 1, seed 2003, which stalls twice.
     Each verified pair conserves mass within the verification tolerance
     1e-9*max(1, |sum nu*phi|) with both sums taken exactly, not only in the
@@ -518,13 +523,15 @@ def test_matrix_free_step_matches_the_dense_solve(caller, p, lam, monkeypatch):
     same closure assembles densely, unshifted and shifted.  The lift's
     Jacobian is -L, and its pair form takes the shift on L's side."""
     fj, u, sign = newton_systems(caller, p, lam, monkeypatch)
-    f, pair_matrix = fj(u, True)
+    f, jac = fj(u)
+    pair_matrix = jac()
     assert isinstance(pair_matrix, stationary._NewtonMatrix)
     assert pair_matrix.matrix is None
     if caller == "resolvent, Stefan":
         assert np.any(pair_matrix.b == 0.0) and np.any(pair_matrix.b > 0.0)
     monkeypatch.setattr(NonlocalOperator, "direct", True)
-    f_dense, dense = fj(u, True)
+    f_dense, jac = fj(u)
+    dense = jac()
     monkeypatch.undo()
     assert np.array_equal(f, f_dense)
     assert np.allclose(pair_matrix.diagonal, dense.diagonal, rtol=1e-12, atol=0.0)
@@ -611,6 +618,78 @@ def test_cg_iterations_stay_bounded(gamma, monkeypatch):
             assert np.max(np.abs(pair.u - u_star)) <= 1e-9
 
 
+def test_cg_at_its_cap_hands_over_to_the_shift_escalation(monkeypatch):
+    """With a CG cap of a fifth of an iteration per row, unshifted Newton
+    solves on a 144-row grid reach the cap and raise; Newton re-solves with
+    a growing diagonal shift, which CG solves within the cap, and reaches
+    the planted pair.  The tight last step reaches the cap too, and keeps
+    the u it was given."""
+    problem, u_star = grid_problem(12, make_stefan(1.0), make_identity(), 3.0, 1e2)
+    cap = int(0.2 * problem.partition.omega.size)
+    outcomes, last_steps = [], []
+    solve, last_step = stationary._NewtonMatrix.solve, stationary._last_step
+
+    def recording_solve(self, f, shift=None, rtol=stationary.CG_TIGHT):
+        try:
+            step = solve(self, f, shift, rtol)
+        except np.linalg.LinAlgError:
+            outcomes.append((shift, self.iterations))
+            raise
+        outcomes.append((shift, None))
+        return step
+
+    def recording_last_step(f_and_jac, u, f, jac, res):
+        kept = last_step(f_and_jac, u, f, jac, res)
+        last_steps.append(kept[0] is u and kept[1] == res)
+        return kept
+
+    monkeypatch.setattr(stationary, "CG_ITERATIONS_PER_ROW", 0.2)
+    monkeypatch.setattr(stationary._NewtonMatrix, "solve", recording_solve)
+    monkeypatch.setattr(stationary, "_last_step", recording_last_step)
+    monkeypatch.setattr(stationary, "_mass_balanced", _no_restart)
+    pair = solve_gp(problem)
+    assert verify_solution(problem, pair, DEFAULT_TOL).passed
+    assert np.max(np.abs(pair.u - u_star)) <= 1e-9
+    # a solve at the cap, then one with a larger shift that CG solves
+    assert any(
+        at == cap and ok is None and then > shift
+        for (shift, at), (then, ok) in zip(outcomes, outcomes[1:])
+        if shift is not None and then is not None
+    )
+    assert last_steps == [True]
+
+
+def test_cg_breaks_off_on_nonpositive_curvature():
+    """An indefinite pair-form matrix (a diagonal of -1e3 under a
+    Laplacian) gives a direction of negative curvature at once: CG breaks
+    off on its first iteration and raises, well before its cap."""
+    problem, _ = grid_problem(12, make_stefan(1.0), make_identity(), 3.0, 1.0)
+    op = problem._operator()
+    assert not op.direct
+    rng = np.random.default_rng(2)
+    u = rng.uniform(-1.0, 1.0, op.rows.size)
+    matrix = stationary._NewtonMatrix(op, u, np.full(op.rows.size, -1e3), 1.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        matrix.solve(rng.standard_normal(op.rows.size), 0.0, 1e-8)
+    assert matrix.iterations == 0
+
+
+def test_newton_evaluates_no_point_twice_in_a_row(evaluations, monkeypatch):
+    """An accepted trial point becomes the iterate with the residual and
+    slopes of its one evaluation, so no two consecutive residual
+    evaluations take the same u: on dense and pair-form operators, with
+    and without backtracking."""
+    monkeypatch.setattr(stationary, "_mass_balanced", _no_restart)
+    problems = [scaled_instance(seed, 1.0, p, lam)[0] for seed, p, lam in
+                ((2000, 1.5, 1.0), (2001, 3.0, 1e-4), (2003, 1.5, 1e4))]
+    problems.append(grid_problem(12, make_stefan(1.0), make_identity(), 1.5, 1e2)[0])
+    for problem in problems:
+        evaluations.clear()
+        solve_gp(problem)
+        assert len(evaluations) > 3
+        assert not any(np.array_equal(a, b) for a, b in zip(evaluations, evaluations[1:]))
+
+
 DENSE_SPACES = {
     "7x7 grid": lambda: grid_problem(7, make_stefan(1.0), make_power(2.0), 1.5, 1.0)[0],
     "dense graph": lambda: StationaryProblem(
@@ -635,7 +714,7 @@ def test_dense_newton_matrix_is_the_assembly_bit_for_bit(name):
     lam = problem.lambda_scale
     mu = min(1.0, 1.0 / lam)
     # the resolvent form: I - D*(I + mu*lam*op.jacobian(u))
-    _, jac = _resolvent_system(problem, op, mu)(u, True)
+    jac = _resolvent_system(problem, op, mu)(u)[1]()
     s = u + mu * (problem.phi[op.rows] + lam * op.apply(u))
     d = np.empty_like(u)
     for g, mask in problem._graph_parts:
