@@ -226,7 +226,7 @@ class EvolutionProblem:
         trajectory of the problem (refinements included) and its strong
         residual."""
         omega = self.partition.omega
-        return NonlocalOperator.shared(self.space, self.flux, omega, omega)
+        return NonlocalOperator(self.space, self.flux, omega, omega)
 
 
 @dataclass(frozen=True)

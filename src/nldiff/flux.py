@@ -198,20 +198,6 @@ class NonlocalOperator:
         self._uj = np.searchsorted(self.nodes, cols)[j]
         self._last_u = self._last_du = self._last_terms = None
 
-    @classmethod
-    def shared(cls, space, flux, rows, cols, integration_set="Q1"):
-        """The operator of the flux on the block, shared through the space:
-        the space keeps the last operator built here, and the same flux on
-        the same block gets it back, so that evolution problems that differ
-        only in their graphs, states and sources hold one operator."""
-        iset = integration_set
-        key = (rows.tobytes(), cols.tobytes(),
-               iset if isinstance(iset, str) else (iset[0], np.asarray(iset[1]).tobytes()))
-        last = space._last_operator
-        if last is None or last[0] is not flux or last[1] != key:
-            last = space._last_operator = (flux, key, cls(space, flux, rows, cols, iset))
-        return last[2]
-
     @property
     def direct(self):
         """Whether Newton solves on the dense ``jacobian``: a block at least

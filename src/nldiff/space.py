@@ -110,8 +110,6 @@ class FiniteRandomWalkSpace:
         self.reversibility_gap = gap
         self._pair_rows, self._pair_cols = rows.astype(np.int32), cols.astype(np.int32)
         self._pair_weights = weights
-        self._connected = {}
-        self._last_operator = None  # NonlocalOperator.shared's
 
     @property
     def kernel(self):
@@ -303,10 +301,13 @@ def from_kernel_grid(points, spacing, kernel_profile) -> FiniteRandomWalkSpace:
     Raw weights are profile(|x - y|) * spacing**dim for x != y; rows are
     then normalized to sum to exactly 1 and nu is the raw weighted degree,
     so reversibility holds bit-exactly despite the truncation of the
-    profile to the sampled stencil.  The weights are formed in blocks of
-    rows of about 2**18 entries and kept as pairs, so no n x n array is
-    formed; the distances, and so the weights, are symmetric bit for bit,
-    as x - y is -(y - x) exactly.
+    profile to the sampled stencil: x - y is -(y - x) exactly, so the
+    distances, and a profile's values on them, are symmetric bit for bit.
+    The weights are formed in blocks of rows of about 2**18 entries and
+    kept as pairs, so no n x n array is formed.  A profile whose values
+    depend on the block it is given can break that symmetry: a pair with
+    weight in one direction only raises InvalidParameter, and unequal
+    mirror weights are held to the constructor's reversibility check.
 
     Parameters
     ----------
@@ -322,6 +323,9 @@ def from_kernel_grid(points, spacing, kernel_profile) -> FiniteRandomWalkSpace:
     ------
     EmptyStencil
         If some point sees zero total kernel mass.
+    InvalidParameter
+        If the profile's values are negative or not finite, or not
+        symmetric (see above).
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -356,8 +360,16 @@ def from_kernel_grid(points, spacing, kernel_profile) -> FiniteRandomWalkSpace:
         bad = int(np.argmin(degree))
         raise EmptyStencil("point %d sees zero kernel mass" % bad)
     rows, cols, w = (np.concatenate(a) for a in (rows, cols, weights))
+    # on a symmetric support the pairs in (col, row) order are the mirrors
+    # of the pairs in (row, col) order
+    mirror = np.lexsort((rows, cols))
+    if not (np.array_equal(rows[mirror], cols) and np.array_equal(cols[mirror], rows)):
+        raise InvalidParameter(
+            "kernel profile must be a function of the distance alone: "
+            "a pair has weight in one direction only")
+    m = w / degree[rows]
+    mirror = m[mirror]
     # the kernel's pairs: those whose entry or mirror entry stays nonzero
-    m, mirror = w / degree[rows], w / degree[cols]
     keep = (m != 0.0) | (mirror != 0.0)
     return FiniteRandomWalkSpace._from_pairs(rows[keep], cols[keep], m[keep],
                                              mirror[keep], degree, row_sums)
@@ -393,19 +405,13 @@ def is_m_connected(space: FiniteRandomWalkSpace, omega) -> bool:
 
     On a finite space this is one component of :func:`breadth_first_levels`
     on the kernel's support restricted to omega; the exhaustive bipartition
-    characterization is exercised in tests.  The space keeps the answer for
-    each node set it was asked about, so later checks of the same omega (a
-    solve's, then its energy report's, or each trajectory's on one space)
-    search it once.
+    characterization is exercised in tests.
     """
     omega = space.node_set(omega)
     if omega.size == 0:
         raise InvalidParameter("omega must be nonempty")
-    key = omega.tobytes()
-    if key not in space._connected:
-        i, j, _ = space.block_pairs(omega, omega)
-        space._connected[key] = breadth_first_levels(omega.size, i, j)[2] == 1
-    return space._connected[key]
+    i, j, _ = space.block_pairs(omega, omega)
+    return breadth_first_levels(omega.size, i, j)[2] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +482,8 @@ def estimate_poincare_constant(
     """
     omega = space.node_set(omega)
     pairs = space.block_pairs(omega, omega, integration_set)
+    if not is_m_connected(space, omega):
+        raise NotConnected("omega must be m-connected for the probe estimate")
     return _poincare_estimates(space, omega, pairs, p, (l,), probe_count, seed)[0]
 
 
@@ -502,13 +510,11 @@ def _poincare_estimates(space, omega, pairs, p, levels, probe_count, seed):
     """:func:`estimate_poincare_constant` at each anchor measure in ``levels``.
 
     ``pairs`` are :meth:`FiniteRandomWalkSpace.block_pairs` of the masked
-    block over the sorted node array ``omega``.  The random probes depend
-    on the seed alone, so every level scores the same probe vectors and
-    gradients, and only the anchor sets differ; each value equals a
-    separate public call.
+    block over the sorted node array ``omega``, which the caller has found
+    m-connected.  The random probes depend on the seed alone, so every
+    level scores the same probe vectors and gradients, and only the anchor
+    sets differ; each value equals a separate public call.
     """
-    if not is_m_connected(space, omega):
-        raise NotConnected("omega must be m-connected for the probe estimate")
     total = space.measure(omega)
     if not all(0 < l <= total for l in levels):
         raise InvalidParameter("need 0 < l <= nu(omega)")

@@ -113,6 +113,12 @@ class StationaryProblem:
         return NonlocalOperator(self.space, self.flux, omega, omega, self._mask_spec)
 
     @cached_property
+    def _connected(self):
+        """Whether omega is m-connected, searched once per problem: by
+        its solve's domain check, then read by its energy report."""
+        return is_m_connected(self.space, self.partition.omega)
+
+    @cached_property
     def _graph_parts(self):
         """(graph, mask over Omega) of the parts present, formed once."""
         boundary = self.partition.boundary_mask
@@ -323,7 +329,7 @@ class _NewtonMatrix:
         stop = rtol * math.sqrt(float(f @ f))
         z = inverse * r
         p, rz = z.copy(), float(r @ z)
-        for self.iterations in range(int(CG_ITERATIONS_PER_ROW * f.size) + 1):
+        for self.iterations in range(CG_ITERATIONS_PER_ROW * f.size + 1):
             ro = r * unscale
             if math.sqrt(float(ro @ ro)) <= stop:
                 return x
@@ -603,7 +609,7 @@ def _mass_balanced(problem, op, u):
 
 def _check_domain(problem):
     """Raise NotConnected unless the problem's domain hypotheses hold."""
-    if not is_m_connected(problem.space, problem.partition.omega):
+    if not problem._connected:
         raise NotConnected("the problem domain is not m-connected")
     if problem.integration_set == "Q2":
         _check_q2_hypothesis(problem)
@@ -746,6 +752,8 @@ def energy_report(problem, pair):
     du = np.abs(op._differences(u))
     energy = float((nu[op.pair_rows] * op.weights * du ** p).sum()) ** (1.0 / q)
     nu_total = float(nu.sum())
+    if not problem._connected:
+        raise NotConnected("omega must be m-connected for the probe estimate")
     lam1, lam2 = _poincare_estimates(
         problem.space, omega, op.pairs, p, (nu_total, 0.5 * nu_total),
         probe_count=8, seed=0,

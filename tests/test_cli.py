@@ -272,7 +272,8 @@ def test_an_op_builds_one_operator_and_searches_connectivity_once(
     """A stationary op searches its omega's connectivity once, for the
     solve, and its energy report reuses the answer; an evolution op builds
     one operator over omega, which its trajectory, the refinement's
-    trajectories and the strong residual share."""
+    trajectories and the strong residual share, and searches omega once
+    per trajectory."""
     built, searched = [], []
     init, levels = NonlocalOperator.__init__, space_module.breadth_first_levels
 
@@ -293,12 +294,13 @@ def test_an_op_builds_one_operator_and_searches_connectivity_once(
                 "flux": {"type": "p_laplacian", "p": 2.0}, "w0": [1.0],
                 "horizon": 0.5, "n_steps": 4},
     }
+    trajectories = {"stationary": 1, "evolve": 3, "dtn": 1}
     for command, payload in configs.items():
         built.clear()
         searched.clear()
         cfg = write_config(tmp_path, command + ".json", payload)
         assert main([command, "--config", str(cfg)]) == 0, capsys.readouterr()
-        assert len(built) == 1 and len(searched) == 1, command
+        assert (len(built), len(searched)) == (1, trajectories[command]), command
     capsys.readouterr()
 
 

@@ -140,6 +140,47 @@ def test_kernel_grid_gaussian_profile():
     assert is_m_connected(space, np.arange(7))
 
 
+def test_kernel_grid_gap_is_measured_on_the_stored_entries():
+    """The reversibility gap the space keeps is max |nu_x k_xy - nu_y k_yx|
+    over the dense kernel it stores, taken again here, bit for bit."""
+    xs, ys = np.meshgrid(np.arange(12), np.arange(12), indexing="ij")
+    points = np.column_stack([xs.ravel(), ys.ravel()])
+    points = points + 0.1 * np.sin(np.arange(288.0)).reshape(144, 2)
+    profile = {"type": "gaussian", "sigma": 1.3, "cutoff": 3.0}
+    space = from_kernel_grid(points, 0.37, profile)
+    flow = space.nu[:, None] * space.kernel
+    assert space.reversibility_gap == float(np.max(np.abs(flow - flow.T)))
+    assert space.reversibility_gap > 0.0
+
+
+def test_kernel_grid_holds_a_block_dependent_profile_to_symmetry():
+    """A profile whose values depend on the array it is given sees the
+    build's row blocks (600 points make two), so its weights can differ
+    across the blocks' seam.  A pair with weight in one direction only
+    raises, and so do mirror weights further apart than the reversibility
+    tolerance; mirror weights 2**-44 apart pass, with that gap measured on
+    the stored entries."""
+    n = 600
+    block = (1 << 18) // n
+    points = np.arange(float(n))
+
+    def seam(height, reach):
+        def profile(d):
+            first = d.shape[0] == block
+            return np.where(d <= (1.5 if first else reach),
+                            1.0 if first else height, 0.0)
+        return profile
+
+    with pytest.raises(InvalidParameter, match="one direction"):
+        from_kernel_grid(points, 1.0, seam(1.0, 2.5))
+    with pytest.raises(InvalidParameter, match="reversible"):
+        from_kernel_grid(points, 1.0, seam(1.0 + 1e-3, 1.5))
+    space = from_kernel_grid(points, 1.0, seam(1.0 + 2.0**-44, 1.5))
+    flow = space.nu[:, None] * space.kernel
+    assert space.reversibility_gap == float(np.max(np.abs(flow - flow.T)))
+    assert 2.0**-45 < space.reversibility_gap < 1e-12 * float(space.nu.max())
+
+
 # -- boundary, closure, interaction -----------------------------------------
 
 def test_boundary_and_closure_path():

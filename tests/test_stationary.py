@@ -259,7 +259,7 @@ def test_disconnected_domain_rejected():
     )
     with pytest.raises(NotConnected):
         solve_gp(problem)
-    # the space keeps the answer, and the energy report still refuses
+    # the problem keeps the answer, and the energy report still refuses
     pair = stationary.SolutionPair(u=np.zeros(4), v=np.zeros(4),
                                    residual_inf=0.0, iterations=0)
     with pytest.raises(NotConnected):
@@ -619,13 +619,23 @@ def test_cg_iterations_stay_bounded(gamma, monkeypatch):
 
 
 def test_cg_at_its_cap_hands_over_to_the_shift_escalation(monkeypatch):
-    """With a CG cap of a fifth of an iteration per row, unshifted Newton
-    solves on a 144-row grid reach the cap and raise; Newton re-solves with
-    a growing diagonal shift, which CG solves within the cap, and reaches
-    the planted pair.  The tight last step reaches the cap too, and keeps
-    the u it was given."""
-    problem, u_star = grid_problem(12, make_stefan(1.0), make_identity(), 3.0, 1e2)
-    cap = int(0.2 * problem.partition.omega.size)
+    """With a CG cap of one iteration per row, unshifted Newton solves on a
+    200-node chain at lambda = 3e3 reach the cap and raise; Newton
+    re-solves with a growing diagonal shift, which CG solves within the
+    cap, and reaches the planted pair.  The tight last step reaches the cap
+    too, and keeps the u it was given."""
+    n, gamma, beta, p, lam = 200, make_identity(), make_identity(), 3.0, 3e3
+    space = from_kernel_grid(np.arange(float(n)), 1.0, INDICATOR)
+    partition = DomainPartition(np.arange(1, n - 1), np.array([0, n - 1]))
+    flux = p_laplacian_flux(p)
+    u_star, v_star = target_pair(np.random.default_rng(3), partition, gamma, beta, n)
+    problem = StationaryProblem(
+        space=space, partition=partition, flux=flux, gamma=gamma, beta=beta,
+        phi=phi_for_target(space, partition, flux, u_star, v_star, lam),
+        lambda_scale=lam,
+    )
+    assert not problem._operator().direct
+    cap = n
     outcomes, last_steps = [], []
     solve, last_step = stationary._NewtonMatrix.solve, stationary._last_step
 
@@ -643,7 +653,7 @@ def test_cg_at_its_cap_hands_over_to_the_shift_escalation(monkeypatch):
         last_steps.append(kept[0] is u and kept[1] == res)
         return kept
 
-    monkeypatch.setattr(stationary, "CG_ITERATIONS_PER_ROW", 0.2)
+    monkeypatch.setattr(stationary, "CG_ITERATIONS_PER_ROW", 1)
     monkeypatch.setattr(stationary._NewtonMatrix, "solve", recording_solve)
     monkeypatch.setattr(stationary, "_last_step", recording_last_step)
     monkeypatch.setattr(stationary, "_mass_balanced", _no_restart)
