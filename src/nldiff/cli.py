@@ -40,7 +40,7 @@ from .flux import p_laplacian_flux, weighted_flux
 from .monotone import from_config as graph_from_config
 from .space import (
     DomainPartition,
-    estimate_poincare_constant,
+    _poincare_estimates,
     from_kernel_grid,
     from_weighted_graph,
     is_m_connected,
@@ -50,6 +50,7 @@ from .stationary import StationaryProblem, check_range, energy_report, solve_gp
 
 # not called here, but nldiff_bench/tracing.py patches these names here
 from .evolution import refine_and_compare  # noqa: F401
+from .space import estimate_poincare_constant  # noqa: F401
 from .stationary import verify_solution  # noqa: F401
 
 _KINDS = ("stationary", "evolve-dynamical", "evolve-static", "dtn", "check")
@@ -389,13 +390,15 @@ def _run_check(cfg, base_dir, out_dir, stem):
         add("compatibility", report.passed, _report_dict(report))
 
     if connected:
+        # the probe estimate of estimate_poincare_constant, scored on the
+        # block's pairs without a second connectivity search
         p = problem.flux.p if problem is not None else float(cfg.get("p", 2.0))
         iset = cfg.get("integration_set", "Q1")
         mask_spec = ("Q2", partition.omega2) if iset == "Q2" else "Q1"
         probes = int(cfg.get("poincare_probes", 8))
-        lam1 = estimate_poincare_constant(
-            space, omega, mask_spec, p, float(space.nu[omega].sum()),
-            probe_count=probes, seed=seed,
+        (lam1,) = _poincare_estimates(
+            space, omega, space.block_pairs(omega, omega, mask_spec), p,
+            (float(space.nu[omega].sum()),), probes, seed,
         )
         add("poincare_probe", True, {"lambda_lower_bound": lam1, "p": p})
 

@@ -193,9 +193,9 @@ class NonlocalOperator:
         self._sum_rows, self._sum_starts = i[starts], starts
         self.pair_rows, self.pair_cols = i, j
         self.nu = space.nu[rows]
-        self._x, self._y = rows[i], cols[j]
-        self._ui = np.searchsorted(self.nodes, rows)[i]
-        self._uj = np.searchsorted(self.nodes, cols)[j]
+        # each pair's row and column position in ``nodes``
+        self._ui = _positions(self.nodes, rows, i)
+        self._uj = _positions(self.nodes, cols, j)
         self._last_u = self._last_du = self._last_terms = None
 
     @property
@@ -226,7 +226,15 @@ class NonlocalOperator:
         i, j = np.divmod(flat, self.rows.size)
         off = i != j
         starts = np.flatnonzero(np.diff(i[off], prepend=-1))
-        return pairs[off], starts, i[off][starts], j[off], self._x != self._y
+        return pairs[off], starts, i[off][starts], j[off], self._ui != self._uj
+
+    @cached_property
+    def _pair_nodes(self):
+        """(x, y), the row and column node of each pair, which the flux
+        reads; the p-Laplacian flux reads neither, and gets None."""
+        if self.flux.kind == "p_laplacian":
+            return None, None
+        return self.rows[self.pair_rows], self.cols[self.pair_cols]
 
     def _differences(self, u):
         last = self._last_u
@@ -252,14 +260,14 @@ class NonlocalOperator:
         """The kernel-weighted flux values of the pairs, which ``apply`` sums."""
         du = self._differences(u)
         if self._last_terms is None:
-            terms = self.weights * self.flux.evaluate(self._x, self._y, du)
+            terms = self.weights * self.flux.evaluate(*self._pair_nodes, du)
             terms.flags.writeable = False
             self._last_terms = terms
         return self._last_terms
 
     def slopes(self, u):
         """The kernel-weighted floored flux slopes m*a' of the pairs."""
-        return self.weights * self.flux.slope(self._x, self._y, self._differences(u))
+        return self.weights * self.flux.slope(*self._pair_nodes, self._differences(u))
 
     def jacobian(self, u):
         """Derivative of ``apply`` with respect to u at the row nodes.
@@ -295,10 +303,18 @@ class NonlocalOperator:
 
     def pairing(self, u, w):
         """Half the nu-weighted double sum of a(u-differences)·(w-differences)."""
-        vals = self.flux.evaluate(self._x, self._y, self._differences(u))
+        vals = self.flux.evaluate(*self._pair_nodes, self._differences(u))
         return 0.5 * float(
             np.sum(self.nu[self.pair_rows] * self.weights * vals * self._differences(w))
         )
+
+
+def _positions(nodes, block, k):
+    """The positions in the sorted ``nodes`` of block[k]: k itself when
+    ``block`` is ``nodes``."""
+    if np.array_equal(block, nodes):
+        return k
+    return np.searchsorted(nodes, block)[k]
 
 
 def _checked_vector(space, u, nodes, what="u"):

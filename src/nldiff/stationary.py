@@ -44,8 +44,10 @@ RANGE_EPS_BASE = 1e-10
 NEWTON_ITERATION_CAP = 420
 # the PCG of a matrix-free Newton step: its loosest and tightest relative
 # residual, and its iteration cap per row (exact CG needs one per row, and
-# rounding delays it: up to 1.9 on a 400-node chain at lambda = 1e4)
-FORCING_MAX = 0.01
+# rounding delays it: up to 1.9 on a 400-node chain at lambda = 1e4).  A
+# forcing cap of 0.5 took up to three times the Newton iterations of 0.1,
+# and more CG iterations in all, on 30x30 and 40x40 grids at lambda = 1e4.
+FORCING_MAX = 0.1
 CG_TIGHT = 1e-12
 CG_ITERATIONS_PER_ROW = 4
 
@@ -194,7 +196,7 @@ def _weighted_bound(mass, bound):
 # shared damped Newton driver
 # ---------------------------------------------------------------------------
 
-def _damped_newton(f_and_jac, u0, tol):
+def _damped_newton(f_and_jac, u0, tol, rounding=None):
     """Semismooth Newton with Armijo backtracking and a diagonal shift.
 
     ``f_and_jac(u)`` evaluates the system once at u and returns (F, jac):
@@ -209,16 +211,19 @@ def _damped_newton(f_and_jac, u0, tol):
     DIRECT_SOLVE_ROWS rows) J is formed and solved by np.linalg.solve; on
     the others it stays in pair form, solved by Jacobi-PCG to a relative
     residual eta that follows the residual's decrease, 0.9*(|F|/|F_last|)**2
-    (Eisenstat and Walker, SIAM J. Sci. Comput. 17, 1996), at most
-    FORCING_MAX and no tighter than a tenth of what ``tol`` asks for.
+    (Eisenstat and Walker, SIAM J. Sci. Comput. 17, 1996), between CG_TIGHT
+    and FORCING_MAX, and no tighter than a tenth of what ``tol`` asks for.
     When the plain Newton step fails the line search, or its CG reaches the
     iteration cap, the system is re-solved with a growing shift on the
     diagonal, which keeps the step useful when kink slopes make the
     Jacobian nearly singular (p < 2 fluxes floor their slope at huge values
     near zero differences).  Once the residual is within ``tol``, one last
-    full Newton step, solved tight, is kept if it lowers the residual, so
-    callers that read a quantity off the residual (v from the equation) get
-    it to rounding level rather than to the stopping tolerance.
+    full Newton step is kept if it lowers the residual, so callers that
+    read a quantity off the residual (v from the equation) get it to
+    rounding level rather than to the stopping tolerance.  Its CG solves to
+    CG_TIGHT, or only to ``rounding(u)``, F's rounding at a typical node at
+    u, where that is looser: a 2-norm residual below it leaves no node's
+    residual above it, and a smaller one is lost in F's own rounding.
 
     Both solves are safe on every J its callers form.  L has off-diagonal
     entries -m*a' <= 0 and a diagonal of their row sums, and D lies in
@@ -239,7 +244,8 @@ def _damped_newton(f_and_jac, u0, tol):
     eta, norm = FORCING_MAX, None
     for it in range(NEWTON_ITERATION_CAP):
         if res <= tol:
-            return _last_step(f_and_jac, u, f, jac, res) + (it,)
+            floor = 0.0 if rounding is None else rounding(u)
+            return _last_step(f_and_jac, u, f, jac, res, floor) + (it,)
         merit = 0.5 * float(f @ f)
         if norm is not None:
             eta = 0.9 * 2.0 * merit / (norm * norm)
@@ -346,12 +352,13 @@ class _NewtonMatrix:
         raise np.linalg.LinAlgError("PCG did not reach its tolerance")
 
 
-def _last_step(f_and_jac, u, f, jac, res):
-    """(u, residual_inf) after one full Newton step, if that lowers it."""
+def _last_step(f_and_jac, u, f, jac, res, floor):
+    """(u, residual_inf) after one full Newton step, if that lowers it; the
+    step is solved to a residual of floor, or of CG_TIGHT*|F|_2 if larger."""
     if res == 0.0:
         return u, res
     try:
-        trial = u - jac.solve(f)
+        trial = u - jac.solve(f, None, max(CG_TIGHT, floor / math.sqrt(float(f @ f))))
     except np.linalg.LinAlgError:
         return u, res
     ft, _ = f_and_jac(trial)
@@ -534,7 +541,10 @@ def _resolvent_newton(problem, op, start, tol, reached):
 
     The step is mu = min(1, 1/lambda).  Off the graphs' jumps F is mu
     times the equation's residual, so Newton stops at 1e-12*mu times the
-    largest size of the equation's terms at ``start``.  ``reached[0]`` is
+    largest size of the equation's terms at ``start``.  F rounds at about
+    eps*(|u| + mu*size) at each node, with ``size`` the size of the
+    equation's terms at u, which bounds mu*(phi + lam*div u); its root
+    mean square is the floor of Newton's last step.  ``reached[0]`` is
     set to each point whose Newton matrix is built, the points Newton
     moves to.  Raises SolverDiverged when Newton stalls or its pair fails
     verification.
@@ -552,7 +562,15 @@ def _resolvent_newton(problem, op, start, tol, reached):
 
         return f, reached_jac
 
-    u, _, its = _damped_newton(f_and_jac, start, 1e-12 * mu * float(np.max(size)))
+    def rounding(u):
+        terms = np.abs(u) + mu * _equation_terms(problem, op, u)[1]
+        return np.finfo(float).eps * math.sqrt(float(terms @ terms) / terms.size)
+
+    # a direct operator's dense solve has no tolerance to set
+    u, _, its = _damped_newton(
+        f_and_jac, start, 1e-12 * mu * float(np.max(size)),
+        None if op.direct else rounding,
+    )
     # u is within the stopping tolerance of the resolvent image, which lies
     # in the graph's domain; clip it there instead of moving u onto the
     # image, which can shift v = phi + lam*div u by far more than the

@@ -8,6 +8,7 @@ import pytest
 from nldiff import cli
 from nldiff import space as space_module
 from nldiff.cli import check, main, run
+from nldiff.errors import SolverDiverged
 from nldiff.evolution import compatibility_check, refine_and_compare
 from nldiff.flux import NonlocalOperator
 from nldiff.stationary import check_range, solve_gp, verify_solution
@@ -104,6 +105,38 @@ def test_subcommand_kind_mismatch_exits_one(tmp_path, capsys):
     cfg = write_config(tmp_path, "stat.json", stationary_payload())
     assert main(["evolve", "--config", str(cfg)]) == 1
     assert last_summary(capsys)["status"] == "config-error"
+
+
+def test_missing_config_exits_one(tmp_path, capsys):
+    assert run(str(tmp_path / "absent.json")) == 1
+    summary = last_summary(capsys)
+    assert summary["status"] == "config-error"
+    assert summary["error"] == "InvalidParameter"
+
+
+def test_unwritable_output_exits_one(tmp_path, capsys):
+    """An output directory that is a file fails in the operating system,
+    which the runner reports as a config error."""
+    cfg = write_config(tmp_path, "basic.json", stationary_payload())
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    assert run(str(cfg), out_dir=str(blocker)) == 1
+    summary = last_summary(capsys)
+    assert summary["status"] == "config-error"
+    assert summary["error"] == "FileExistsError"
+
+
+def test_diverged_solver_exits_three(tmp_path, capsys, monkeypatch):
+    def diverging(problem, tol):
+        raise SolverDiverged("stalled at residual 1", residual=1.0)
+
+    monkeypatch.setattr(cli, "solve_gp", diverging)
+    cfg = write_config(tmp_path, "stuck.json", stationary_payload())
+    assert main(["stationary", "--config", str(cfg)]) == 3
+    summary = last_summary(capsys)
+    assert summary["status"] == "failed"
+    assert summary["error"] == "SolverDiverged"
+    assert not (tmp_path / "stuck_solution.csv").exists()
 
 
 def test_infeasible_mass_exits_two(tmp_path, capsys):
@@ -273,7 +306,8 @@ def test_an_op_builds_one_operator_and_searches_connectivity_once(
     solve, and its energy report reuses the answer; an evolution op builds
     one operator over omega, which its trajectory, the refinement's
     trajectories and the strong residual share, and searches omega once
-    per trajectory."""
+    per trajectory; a check op builds no operator and searches omega once,
+    for its connectivity check and its Poincare probes."""
     built, searched = [], []
     init, levels = NonlocalOperator.__init__, space_module.breadth_first_levels
 
@@ -294,13 +328,15 @@ def test_an_op_builds_one_operator_and_searches_connectivity_once(
                 "flux": {"type": "p_laplacian", "p": 2.0}, "w0": [1.0],
                 "horizon": 0.5, "n_steps": 4},
     }
-    trajectories = {"stationary": 1, "evolve": 3, "dtn": 1}
+    configs["check"] = configs["stationary"]
+    expected = {"stationary": (1, 1), "evolve": (1, 3), "dtn": (1, 1),
+                "check": (0, 1)}
     for command, payload in configs.items():
         built.clear()
         searched.clear()
         cfg = write_config(tmp_path, command + ".json", payload)
         assert main([command, "--config", str(cfg)]) == 0, capsys.readouterr()
-        assert (len(built), len(searched)) == (1, trajectories[command]), command
+        assert (len(built), len(searched)) == expected[command], command
     capsys.readouterr()
 
 

@@ -477,6 +477,20 @@ def grid_problem(side, gamma, beta, p, lam, seed=3):
     return problem, u
 
 
+def chain_problem(n, gamma, beta, p, lam, seed):
+    """An n-node indicator chain, both ends as the boundary, with data
+    built forward from a planted pair; returns (problem, u*)."""
+    space = from_kernel_grid(np.arange(float(n)), 1.0, INDICATOR)
+    partition = DomainPartition(np.arange(1, n - 1), np.array([0, n - 1]))
+    flux = p_laplacian_flux(p)
+    u, v = target_pair(np.random.default_rng(seed), partition, gamma, beta, n)
+    problem = StationaryProblem(
+        space=space, partition=partition, flux=flux, gamma=gamma, beta=beta,
+        phi=phi_for_target(space, partition, flux, u, v, lam), lambda_scale=lam,
+    )
+    return problem, u
+
+
 def newton_systems(caller, p, lam, monkeypatch):
     """(f_and_jac, u, shift sign) of one caller of _damped_newton, on a grid
     operator of 144 rows, sparse, so that its Newton matrix is a pair form."""
@@ -596,7 +610,7 @@ def test_grid_solve_forms_no_dense_matrix(monkeypatch):
 def test_cg_iterations_stay_bounded(gamma, monkeypatch):
     """Every PCG solve of 30 x 30 grid solves, lambda from 1e-2 to 1e4 and
     p in {1.5, 3}, converges within 240 iterations; the most measured is
-    182, on the tight last steps at lambda = 1e4."""
+    123, at lambda = 1e4."""
     counts = []
     solve = stationary._NewtonMatrix.solve
 
@@ -618,22 +632,40 @@ def test_cg_iterations_stay_bounded(gamma, monkeypatch):
             assert np.max(np.abs(pair.u - u_star)) <= 1e-9
 
 
+@pytest.mark.parametrize("lam, cg_budget", [(1e2, 12_000), (1e4, 30_000)])
+def test_long_chain_solves_within_a_cg_budget(lam, cg_budget, monkeypatch):
+    """A 400-node chain, Hele-Shaw bulk, Stefan boundary, p = 3: the
+    resolvent Newton verifies within a budget of total CG iterations.
+    Measured: 6,690 at lambda = 1e2 and 14,585 at 1e4, over 30 and 40
+    Newton iterations.  With forcing terms capped at 0.01 and the last
+    step solved to 1e-12 relative, they were 216,897 over 131 and 97,872
+    over 182."""
+    problem, _ = chain_problem(400, make_hele_shaw(), make_stefan(1.0), 3.0, lam, 7)
+    assert not problem._operator().direct
+    counts = []
+    solve = stationary._NewtonMatrix.solve
+
+    def counting(self, *args):
+        try:
+            return solve(self, *args)
+        finally:
+            counts.append(self.iterations)
+
+    monkeypatch.setattr(stationary._NewtonMatrix, "solve", counting)
+    monkeypatch.setattr(stationary, "_mass_balanced", _no_restart)
+    pair = solve_gp(problem)
+    assert verify_solution(problem, pair, DEFAULT_TOL).passed
+    assert sum(counts) <= cg_budget, sum(counts)
+
+
 def test_cg_at_its_cap_hands_over_to_the_shift_escalation(monkeypatch):
     """With a CG cap of one iteration per row, unshifted Newton solves on a
     200-node chain at lambda = 3e3 reach the cap and raise; Newton
     re-solves with a growing diagonal shift, which CG solves within the
-    cap, and reaches the planted pair.  The tight last step reaches the cap
-    too, and keeps the u it was given."""
-    n, gamma, beta, p, lam = 200, make_identity(), make_identity(), 3.0, 3e3
-    space = from_kernel_grid(np.arange(float(n)), 1.0, INDICATOR)
-    partition = DomainPartition(np.arange(1, n - 1), np.array([0, n - 1]))
-    flux = p_laplacian_flux(p)
-    u_star, v_star = target_pair(np.random.default_rng(3), partition, gamma, beta, n)
-    problem = StationaryProblem(
-        space=space, partition=partition, flux=flux, gamma=gamma, beta=beta,
-        phi=phi_for_target(space, partition, flux, u_star, v_star, lam),
-        lambda_scale=lam,
-    )
+    cap, and reaches the planted pair.  The last step, solved to F's
+    rounding, reaches the cap too, and keeps the u it was given."""
+    n = 200
+    problem, u_star = chain_problem(n, make_identity(), make_identity(), 3.0, 3e3, 3)
     assert not problem._operator().direct
     cap = n
     outcomes, last_steps = [], []
@@ -648,8 +680,8 @@ def test_cg_at_its_cap_hands_over_to_the_shift_escalation(monkeypatch):
         outcomes.append((shift, None))
         return step
 
-    def recording_last_step(f_and_jac, u, f, jac, res):
-        kept = last_step(f_and_jac, u, f, jac, res)
+    def recording_last_step(f_and_jac, u, f, jac, res, floor):
+        kept = last_step(f_and_jac, u, f, jac, res, floor)
         last_steps.append(kept[0] is u and kept[1] == res)
         return kept
 
