@@ -28,18 +28,10 @@ from .errors import (
 from .flux import LerayLionsFlux, NonlocalOperator, neumann_n1
 from .monotone import MonotoneGraph, make_identity, make_zero
 from .space import DomainPartition, FiniteRandomWalkSpace, m_boundary
-from .stationary import (
-    DEFAULT_TOL,
-    SolutionPair,
-    StationaryProblem,
-    _check_domain,
-    _check_feasible,
-    _damped_newton,
-    _NewtonMatrix,
-    _solve,
-    _weighted_bound,
-    solve_gp,
-)
+from .stationary import SolutionPair, _damped_newton, _NewtonMatrix, _Resolvent
+
+# not called here, but nldiff_bench/tracing.py patches this name here
+from .stationary import solve_gp  # noqa: F401
 
 # 4-point Gauss-Legendre rule on [-1, 1]; weights sum to 2.
 _GAUSS_NODES = np.array(
@@ -221,12 +213,10 @@ class EvolutionProblem:
             _as_source(self.g, n2, horizon, "g")
 
     @cached_property
-    def _shared_operator(self):
-        """The operator over Omega, taken on first use and shared by every
-        trajectory of the problem (refinements included) and its strong
-        residual."""
-        omega = self.partition.omega
-        return NonlocalOperator(self.space, self.flux, omega, omega)
+    def _resolvent(self):
+        """The problem's resolvent, built on first use and shared by all its
+        trajectories, exported resolvent steps and strong residual."""
+        return _Resolvent(self.space, self.partition, self.flux, self.gamma, self.beta)
 
 
 @dataclass(frozen=True)
@@ -293,14 +283,6 @@ class StrongResidualReport:
 # resolvents
 # ---------------------------------------------------------------------------
 
-def _step_problem(problem, beta, phi, lam):
-    """The stationary problem of one implicit step of size ``lam``."""
-    return StationaryProblem(
-        space=problem.space, partition=problem.partition, flux=problem.flux,
-        gamma=problem.gamma, beta=beta, phi=phi, lambda_scale=lam,
-    )
-
-
 def resolvent_dynamical(problem, lam, psi) -> SolutionPair:
     """Solve v - lam * div u = psi with the problem's graphs on both parts.
 
@@ -310,7 +292,7 @@ def resolvent_dynamical(problem, lam, psi) -> SolutionPair:
     lam = float(lam)
     if not lam > 0:
         raise InvalidParameter("lam must be positive")
-    return solve_gp(_step_problem(problem, problem.beta, psi, lam))
+    return problem._resolvent.solve(psi, lam)
 
 
 def resolvent_static_boundary(problem, lam, psi):
@@ -331,7 +313,7 @@ def resolvent_static_boundary(problem, lam, psi):
         raise InvalidParameter("psi must be a finite length-%d vector" % o1.size)
     phi = np.zeros(problem.space.node_count)
     phi[o1] = psi
-    pair = solve_gp(_step_problem(problem, problem.beta.scale_values(lam), phi, lam))
+    pair = problem._resolvent.with_beta(problem.beta.scale_values(lam)).solve(phi, lam)
     return pair.v[o1], pair.u, pair.v[o2] / lam
 
 
@@ -360,17 +342,13 @@ def compatibility_check(problem, n_probe) -> CompatibilityReport:
     horizon = problem.horizon
     glo, ghi = problem.gamma.range_bounds()
     blo, bhi = problem.beta.range_bounds()
+    res = problem._resolvent
     times = np.linspace(0.0, horizon, n_probe + 1)
     fk, fp = _as_source(problem.f, o1.size, horizon, "f")
 
     if problem.mode == "dynamical":
         gk, gp = _as_source(problem.g, o2.size, horizon, "g")
-        r_minus = _weighted_bound(float(nu1.sum()), glo) + _weighted_bound(
-            float(nu2.sum()), blo
-        )
-        r_plus = _weighted_bound(float(nu1.sum()), ghi) + _weighted_bound(
-            float(nu2.sum()), bhi
-        )
+        r_minus, r_plus = res.r_minus, res.r_plus
         peak = max(
             _source_peak(fk, fp, horizon, o1.size, "f"),
             _source_peak(gk, gp, horizon, o2.size, "g"),
@@ -393,11 +371,10 @@ def compatibility_check(problem, n_probe) -> CompatibilityReport:
         )
     else:
         # static boundary: the bulk source must be absorbable by the boundary
-        nu2_total = float(nu2.sum())
         plus_open = (o1.size and ghi == np.inf) or (o2.size and bhi == np.inf)
         minus_open = (o1.size and glo == -np.inf) or (o2.size and blo == -np.inf)
-        r_plus = np.inf if plus_open else _weighted_bound(nu2_total, bhi)
-        r_minus = -np.inf if minus_open else _weighted_bound(nu2_total, blo)
+        r_plus = np.inf if plus_open else res.beta_bounds[1]
+        r_minus = -np.inf if minus_open else res.beta_bounds[0]
         margin = 0.0
         values = np.array([
             float(nu1 @ _source_average(fk, fp, t0, t1, o1.size, "f"))
@@ -435,13 +412,13 @@ def compatibility_check(problem, n_probe) -> CompatibilityReport:
 def mild_solve(problem, n_steps) -> MildSolution:
     """March the implicit-Euler scheme over the horizon.
 
-    Each step solves one stationary problem with the step size as the
-    divergence scaling and the forcing folded into the data, so the
+    Each step applies the problem's one resolvent with the step size as
+    the divergence scaling and the forcing folded into the data, so the
     per-step conservation identity telescopes into the mass ledger.  The
-    domain is checked once per trajectory, every step runs on the
-    problem's shared operator, the range condition is checked on every
-    step, and each step's resolvent Newton starts from the previous
-    step's potential, for every pair of graphs.  Raises
+    domain is checked once per problem, static mode scales the boundary
+    graph by the step once per trajectory, the range condition is checked
+    on every step, and each step's resolvent Newton starts from the
+    previous step's potential, for every pair of graphs.  Raises
     CompatibilityViolated when the probe fails up front or a step loses
     range feasibility, and SolverDiverged from the inner solver.  The
     solution carries the passed CompatibilityReport of the probe.
@@ -464,11 +441,12 @@ def mild_solve(problem, n_steps) -> MildSolution:
     times = np.linspace(0.0, problem.horizon, n + 1)
     fk, fp = _as_source(problem.f, o1.size, problem.horizon, "f")
     dynamical = problem.mode == "dynamical"
+    res = problem._resolvent
     if dynamical:
         gk, gp = _as_source(problem.g, o2.size, problem.horizon, "g")
         w_first = problem.w0.copy()
     else:
-        beta_tau = problem.beta.scale_values(tau)
+        res = res.with_beta(problem.beta.scale_values(tau))
         w_first = np.full(o2.size, np.nan)
 
     u_rows = np.empty((n, nn))
@@ -483,41 +461,31 @@ def mild_solve(problem, n_steps) -> MildSolution:
         float(nu2 @ problem.w0) if dynamical else 0.0
     )
 
-    state = np.zeros(nn)
-    state[o1] = problem.v0
-    if dynamical:
-        state[o2] = problem.w0
-    op = problem._shared_operator
     u_start = None
     for i in range(1, n + 1):
+        state = np.zeros(nn)
+        state[o1] = v_rows[i - 1]
+        if dynamical:
+            state[o2] = w_rows[i - 1]
         t0, t1 = times[i - 1], times[i]
         forcing = np.zeros(nn)
         forcing[o1] = _source_average(fk, fp, t0, t1, o1.size, "f")
         if dynamical:
             forcing[o2] = _source_average(gk, gp, t0, t1, o2.size, "g")
-        psi = state + tau * forcing
-        stat = _step_problem(problem, problem.beta if dynamical else beta_tau, psi, tau)
-        if i == 1:
-            _check_domain(stat)
         try:
-            _check_feasible(stat)
+            pair = res.solve(state + tau * forcing, tau, u_start)
         except RangeInfeasible as exc:
             raise CompatibilityViolated(
                 "range condition failed at step %d (t=%.6g); the "
                 "compatibility margin was insufficient" % (i, times[i]),
                 report=exc.report,
             ) from exc
-        pair = _solve(stat, op, u_start, DEFAULT_TOL)
-        u_start = pair.u[op.rows]
+        u_start = pair.u[res.op.rows]
         u_rows[i - 1] = pair.u
         v_rows[i] = pair.v[o1]
         w_rows[i] = pair.v[o2] if dynamical else pair.v[o2] / tau
         forcing_rows[i - 1] = forcing
         residuals[i - 1] = pair.residual_inf
-        state = np.zeros(nn)
-        state[o1] = v_rows[i]
-        if dynamical:
-            state[o2] = w_rows[i]
         mass[i] = float(nu1 @ v_rows[i]) + (
             float(nu2 @ w_rows[i]) if dynamical else 0.0
         )
@@ -608,7 +576,7 @@ def strong_residual(problem, solution) -> StrongResidualReport:
     n = solution.step_count
     tau = problem.horizon / n
     dynamical = problem.mode == "dynamical"
-    op = problem._shared_operator
+    op = problem._resolvent.op
 
     jstar_initial = _conjugate_sum(problem.gamma, solution.v[0], nu1, "v0")
     jstar_final = _conjugate_sum(problem.gamma, solution.v[n], nu1, "v(T)")

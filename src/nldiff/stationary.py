@@ -50,6 +50,7 @@ NEWTON_ITERATION_CAP = 420
 FORCING_MAX = 0.1
 CG_TIGHT = 1e-12
 CG_ITERATIONS_PER_ROW = 4
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -84,48 +85,29 @@ class StationaryProblem:
     lambda_scale: float = 1.0
 
     def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=float)
-        if phi.shape != (self.space.node_count,):
-            raise InvalidParameter(
-                "phi must be a length-%d node vector" % self.space.node_count
-            )
-        omega = self.partition.omega
-        if not np.all(np.isfinite(phi[omega])):
-            raise InvalidParameter("phi must be finite on the partition")
+        phi = _checked_phi(self.space, self.partition, self.phi)
         object.__setattr__(self, "phi", phi.copy())
         if self.integration_set not in ("Q1", "Q2"):
             raise InvalidParameter("integration_set must be 'Q1' or 'Q2'")
         if not self.lambda_scale > 0:
             raise InvalidParameter("lambda_scale must be positive")
 
-    @property
-    def _mask_spec(self):
-        if self.integration_set == "Q2":
-            return ("Q2", self.partition.omega2)
-        return "Q1"
-
-    def _operator(self):
-        """The problem's operator, built on first use and shared by its
-        solve, verification and energy report."""
-        return self._shared_operator
-
     @cached_property
-    def _shared_operator(self):
-        omega = self.partition.omega
-        return NonlocalOperator(self.space, self.flux, omega, omega, self._mask_spec)
+    def _resolvent(self):
+        """The problem's resolvent, built on first use and shared by its
+        solve, verification, range check and energy report."""
+        return _Resolvent(self.space, self.partition, self.flux, self.gamma,
+                          self.beta, self.integration_set)
 
-    @cached_property
-    def _connected(self):
-        """Whether omega is m-connected, searched once per problem: by
-        its solve's domain check, then read by its energy report."""
-        return is_m_connected(self.space, self.partition.omega)
 
-    @cached_property
-    def _graph_parts(self):
-        """(graph, mask over Omega) of the parts present, formed once."""
-        boundary = self.partition.boundary_mask
-        parts = ((self.gamma, ~boundary), (self.beta, boundary))
-        return [(g, mask) for g, mask in parts if np.any(mask)]
+def _checked_phi(space, partition, phi):
+    """phi as a float array: a node vector, finite on the partition."""
+    phi = np.asarray(phi, dtype=float)
+    if phi.shape != (space.node_count,):
+        raise InvalidParameter("phi must be a length-%d node vector" % space.node_count)
+    if not np.all(np.isfinite(phi[partition.omega])):
+        raise InvalidParameter("phi must be finite on the partition")
+    return phi
 
 
 @dataclass(frozen=True)
@@ -161,35 +143,94 @@ class SolutionPair:
     verification: VerificationReport = None
 
 
+class _Resolvent:
+    """The resolvent J_lam of one problem's operator: phi -> the pair (u, v)
+    with v in the graphs of u and v - lam*div u = phi on Omega, which every
+    solver calls through ``solve``.  What does not depend on (lam, phi) is
+    formed once: the graph parts, the mass bounds, and on first use the
+    operator over Omega and the domain check, whose searches call this
+    module's ``is_m_connected``."""
+
+    def __init__(self, space, partition, flux, gamma, beta, integration_set="Q1"):
+        self.space, self.partition, self.flux = space, partition, flux
+        self.gamma, self.beta = gamma, beta
+        self.integration_set = integration_set
+        self.mask_spec = ("Q2", partition.omega2) if integration_set == "Q2" else "Q1"
+        boundary = partition.boundary_mask
+        parts = ((gamma, ~boundary), (beta, boundary))
+        self.parts = [(g, mask) for g, mask in parts if np.any(mask)]
+        nu1 = float(space.nu[partition.omega1].sum())
+        nu2 = float(space.nu[partition.omega2].sum())
+        # beta's part of the mass bounds, which static mode holds alone
+        self.beta_bounds = (_weighted_bound(nu2, beta.range_inf),
+                            _weighted_bound(nu2, beta.range_sup))
+        self.r_minus = _weighted_bound(nu1, gamma.range_inf) + self.beta_bounds[0]
+        self.r_plus = _weighted_bound(nu1, gamma.range_sup) + self.beta_bounds[1]
+
+    @cached_property
+    def op(self):
+        omega = self.partition.omega
+        return NonlocalOperator(self.space, self.flux, omega, omega, self.mask_spec)
+
+    @cached_property
+    def connected(self):
+        return is_m_connected(self.space, self.partition.omega)
+
+    @cached_property
+    def _domain_error(self):
+        """Why the domain hypotheses fail, or None when they hold: Omega is
+        m-connected, and under Q2 the bulk hangs together and every
+        boundary node sees it."""
+        part = self.partition
+        if not self.connected:
+            return "the problem domain is not m-connected"
+        if self.integration_set == "Q1":
+            return None
+        if part.omega1.size == 0:
+            return "the Q2 variant needs a nonempty bulk part"
+        if not is_m_connected(self.space, part.omega1):
+            return "the Q2 variant needs an m-connected bulk part"
+        seen, _, _ = self.space.block_pairs(part.omega2, part.omega1)
+        if np.unique(seen).size < part.omega2.size:
+            return "every boundary node must interact with the bulk under Q2"
+        return None
+
+    def with_beta(self, beta):
+        """This resolvent with ``beta`` on omega2; it shares the operator
+        and the domain check."""
+        out = _Resolvent(self.space, self.partition, self.flux, self.gamma,
+                         beta, self.integration_set)
+        out.op, out._domain_error = self.op, self._domain_error
+        return out
+
+    def range_report(self, phi) -> RangeReport:
+        omega = self.partition.omega
+        integral = float((self.space.nu[omega] * phi[omega]).sum())
+        margin = min(integral - self.r_minus, self.r_plus - integral)
+        eps = RANGE_EPS_BASE * (1.0 + abs(integral))
+        return RangeReport(r_minus=self.r_minus, r_plus=self.r_plus,
+                           integral_phi=integral, feasible=bool(margin >= eps),
+                           margin=margin)
+
+    def solve(self, phi, lam, start=None, tol=DEFAULT_TOL) -> SolutionPair:
+        """The verified pair of J_lam at the node vector phi, Newton starting
+        at ``start`` over Omega (None for zero).  Raises InvalidParameter,
+        NotConnected, and RangeInfeasible or SolverDiverged from ``_solve``."""
+        phi = _checked_phi(self.space, self.partition, phi)
+        if not lam > 0:
+            raise InvalidParameter("lambda_scale must be positive")
+        if self._domain_error:
+            raise NotConnected(self._domain_error)
+        return _solve(self, phi, lam, start, tol)
+
+
 def check_range(problem: StationaryProblem) -> RangeReport:
     """Mass bounds from the graph ranges against the data integral."""
-    part = problem.partition
-    nu = problem.space.nu
-    nu1 = float(nu[part.omega1].sum())
-    nu2 = float(nu[part.omega2].sum())
-    r_minus = _weighted_bound(nu1, problem.gamma.range_inf) + _weighted_bound(
-        nu2, problem.beta.range_inf
-    )
-    r_plus = _weighted_bound(nu1, problem.gamma.range_sup) + _weighted_bound(
-        nu2, problem.beta.range_sup
-    )
-    omega = part.omega
-    integral = float((nu[omega] * problem.phi[omega]).sum())
-    margin = min(integral - r_minus, r_plus - integral)
-    eps = RANGE_EPS_BASE * (1.0 + abs(integral))
-    return RangeReport(
-        r_minus=r_minus,
-        r_plus=r_plus,
-        integral_phi=integral,
-        feasible=bool(margin >= eps),
-        margin=margin,
-    )
+    return problem._resolvent.range_report(problem.phi)
 
 
 def _weighted_bound(mass, bound):
-    if mass == 0.0:
-        return 0.0
-    return mass * bound
+    return 0.0 if mass == 0.0 else mass * bound
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +288,10 @@ def _damped_newton(f_and_jac, u0, tol, rounding=None):
             floor = 0.0 if rounding is None else rounding(u)
             return _last_step(f_and_jac, u, f, jac, res, floor) + (it,)
         merit = 0.5 * float(f @ f)
-        if norm is not None:
+        # where the last norm's square underflows, the forcing term stays
+        if norm is not None and norm * norm > 0.0:
             eta = 0.9 * 2.0 * merit / (norm * norm)
-        norm = math.sqrt(2.0 * merit)
+        norm = _norm2(f, 2.0 * merit)
         eta = min(FORCING_MAX, max(eta, 0.1 * tol / norm, CG_TIGHT))
         jac_scale = 1.0 + float(np.max(np.abs(jac.diagonal)))
         accepted = False
@@ -352,13 +394,23 @@ class _NewtonMatrix:
         raise np.linalg.LinAlgError("PCG did not reach its tolerance")
 
 
+def _norm2(f, square):
+    """|f|_2 of a nonzero f from square = f @ f, or, where that underflows,
+    from f scaled by max|f|, which keeps it positive."""
+    if square >= _TINY:
+        return math.sqrt(square)
+    scale = float(np.max(np.abs(f)))
+    g = f / scale
+    return scale * math.sqrt(float(g @ g))
+
+
 def _last_step(f_and_jac, u, f, jac, res, floor):
     """(u, residual_inf) after one full Newton step, if that lowers it; the
     step is solved to a residual of floor, or of CG_TIGHT*|F|_2 if larger."""
     if res == 0.0:
         return u, res
     try:
-        trial = u - jac.solve(f, None, max(CG_TIGHT, floor / math.sqrt(float(f @ f))))
+        trial = u - jac.solve(f, None, max(CG_TIGHT, floor / _norm2(f, float(f @ f))))
     except np.linalg.LinAlgError:
         return u, res
     ft, _ = f_and_jac(trial)
@@ -370,14 +422,13 @@ def _last_step(f_and_jac, u, f, jac, res, floor):
 # approximate (regularized) problem
 # ---------------------------------------------------------------------------
 
-def _phi_inf(problem):
-    omega = problem.partition.omega
-    return float(np.max(np.abs(problem.phi[omega]))) if omega.size else 0.0
+def _phi_inf(phi, omega):
+    return float(np.max(np.abs(phi[omega]))) if omega.size else 0.0
 
 
 def default_truncation(problem, n, k):
     """Truncation level making the guards inactive at the solution."""
-    norm = _phi_inf(problem)
+    norm = _phi_inf(problem.phi, problem.partition.omega)
     p = problem.flux.p
     m_bound = ((k + n) * norm) ** (1.0 / (p - 1.0)) if norm > 0 else 1.0
     level = max(m_bound, 1.0)
@@ -388,15 +439,15 @@ def default_truncation(problem, n, k):
     return 2.0 * level
 
 
-def _approx_system(problem, op, n, k, K):
+def _approx_system(res, phi, lam, n, k, K):
     """Residual/Jacobian closure for the regularized system on Omega."""
-    phi = problem.phi[op.rows]
-    lam = problem.lambda_scale
-    p = problem.flux.p
+    op = res.op
+    phi = phi[op.rows]
+    p = res.flux.p
     inv_n, inv_k = 1.0 / n, 1.0 / k
     parts = [
         (mask, g.split_plus(), g.split_minus())
-        for g, mask in problem._graph_parts
+        for g, mask in res.parts
     ]
 
     def f_and_jac(u):
@@ -436,9 +487,10 @@ def solve_approximate(problem, n, k, K=None):
         raise InvalidParameter("indices n, k must be at least 1")
     if K is None:
         K = default_truncation(problem, n, k)
-    op = problem._operator()
-    tol = 1e-11 * (1.0 + _phi_inf(problem))
-    fj = _approx_system(problem, op, n, k, K)
+    res = problem._resolvent
+    op = res.op
+    tol = 1e-11 * (1.0 + _phi_inf(problem.phi, op.rows))
+    fj = _approx_system(res, problem.phi, problem.lambda_scale, n, k, K)
     u, _, _ = _damped_newton(fj, np.zeros(op.rows.size), tol)
     full = np.zeros(problem.space.node_count)
     full[op.rows] = u
@@ -455,15 +507,16 @@ def _clamp_near(v, lo, hi, gap_tol):
     return np.where((v > hi) & (v - hi <= gap_tol), hi, v)
 
 
-def _equation_terms(problem, op, u):
-    """(lam*div u, 1 + |phi| + lam*sum_j m*|a(u_j - u_i)|) at the row nodes.
+def _equation_terms(res, phi, lam, u):
+    """(lam*div u, 1 + |phi| + lam*sum_j m*|a(u_j - u_i)|) at the nodes of
+    Omega, for u over Omega and the node vector phi.
 
     The second vector is the size of the equation's terms at each node,
     the scale of the rounding in any residual formed from them.
     """
+    op = res.op
     terms = op._terms(u)
-    lam = problem.lambda_scale
-    size = 1.0 + np.abs(problem.phi[op.rows]) + lam * op._row_sums(np.abs(terms))
+    size = 1.0 + np.abs(phi[op.rows]) + lam * op._row_sums(np.abs(terms))
     return lam * op._row_sums(terms), size
 
 
@@ -473,15 +526,15 @@ def _values_near(g, u, delta):
     return lo[0], hi[1]
 
 
-def _graph_bounds(problem, u, delta):
+def _graph_bounds(res, u, delta):
     """(lo, hi) over Omega: ``_values_near`` of each node's graph part."""
     lo, hi = np.empty_like(u), np.empty_like(u)
-    for g, mask in problem._graph_parts:
+    for g, mask in res.parts:
         lo[mask], hi[mask] = _values_near(g, u[mask], delta[mask])
     return lo, hi
 
 
-def _recover_pair(problem, u_sub, op, tol, iterations):
+def _recover_pair(res, phi, lam, u_sub, tol, iterations):
     """Equation-exact v with within-tolerance clamping, then verification.
 
     v is clamped onto the values verification accepts at u, the graph's
@@ -490,19 +543,19 @@ def _recover_pair(problem, u_sub, op, tol, iterations):
     the pair carrying its VerificationReport; raises SolverDiverged when
     the pair fails verification.
     """
-    omega = op.rows
-    lam_div, size = _equation_terms(problem, op, u_sub)
-    v = problem.phi[omega] + lam_div
+    omega = res.op.rows
+    lam_div, size = _equation_terms(res, phi, lam, u_sub)
+    v = phi[omega] + lam_div
     gap_tol = tol * (size + np.abs(v))
-    bounds = _graph_bounds(problem, u_sub, tol * (1.0 + np.abs(u_sub)))
+    bounds = _graph_bounds(res, u_sub, tol * (1.0 + np.abs(u_sub)))
     v = _clamp_near(v, *bounds, gap_tol)
-    report = _verify(problem, u_sub, v, tol, lam_div, bounds)
+    report = _verify(res, phi, u_sub, v, tol, lam_div, bounds)
     if not report.passed:
         raise SolverDiverged(
             "resolvent Newton pair fails verification: " + "; ".join(report.failures)
         )
-    u_full = np.zeros(problem.space.node_count)
-    v_full = np.zeros(problem.space.node_count)
+    u_full = np.zeros(res.space.node_count)
+    v_full = np.zeros(res.space.node_count)
     u_full[omega] = u_sub
     v_full[omega] = v
     return SolutionPair(
@@ -514,16 +567,16 @@ def _recover_pair(problem, u_sub, op, tol, iterations):
     )
 
 
-def _resolvent_system(problem, op, mu):
+def _resolvent_system(res, phi, lam, mu):
     """Residual/Jacobian closure for F(u) = u - J(u + mu*(phi + lam*div u)).
 
     J applies each node's graph resolvent at step mu, and D is its
     derivative, so the Jacobian is I - D*(I + mu*lam*op.jacobian(u)):
     diag(1 - D) + diag(mu*lam*D)*L in the form of ``_NewtonMatrix``.
     """
-    phi = problem.phi[op.rows]
-    lam = problem.lambda_scale
-    parts = problem._graph_parts
+    op = res.op
+    phi = phi[op.rows]
+    parts = res.parts
 
     def f_and_jac(u):
         s = u + mu * (phi + lam * op.apply(u))
@@ -536,7 +589,7 @@ def _resolvent_system(problem, op, mu):
     return f_and_jac
 
 
-def _resolvent_newton(problem, op, start, tol, reached):
+def _resolvent_newton(res, phi, lam, start, tol, reached):
     """Verified pair from the resolvent Newton at ``start``.
 
     The step is mu = min(1, 1/lambda).  Off the graphs' jumps F is mu
@@ -549,9 +602,9 @@ def _resolvent_newton(problem, op, start, tol, reached):
     moves to.  Raises SolverDiverged when Newton stalls or its pair fails
     verification.
     """
-    mu = min(1.0, 1.0 / problem.lambda_scale)
-    _, size = _equation_terms(problem, op, start)
-    fj = _resolvent_system(problem, op, mu)
+    mu = min(1.0, 1.0 / lam)
+    _, size = _equation_terms(res, phi, lam, start)
+    fj = _resolvent_system(res, phi, lam, mu)
 
     def f_and_jac(u):
         f, jac = fj(u)
@@ -563,24 +616,24 @@ def _resolvent_newton(problem, op, start, tol, reached):
         return f, reached_jac
 
     def rounding(u):
-        terms = np.abs(u) + mu * _equation_terms(problem, op, u)[1]
+        terms = np.abs(u) + mu * _equation_terms(res, phi, lam, u)[1]
         return np.finfo(float).eps * math.sqrt(float(terms @ terms) / terms.size)
 
     # a direct operator's dense solve has no tolerance to set
     u, _, its = _damped_newton(
         f_and_jac, start, 1e-12 * mu * float(np.max(size)),
-        None if op.direct else rounding,
+        None if res.op.direct else rounding,
     )
     # u is within the stopping tolerance of the resolvent image, which lies
     # in the graph's domain; clip it there instead of moving u onto the
     # image, which can shift v = phi + lam*div u by far more than the
     # tolerance when p < 2 and neighbouring values nearly agree
-    for g, mask in problem._graph_parts:
+    for g, mask in res.parts:
         u[mask] = np.clip(u[mask], *g.domain)
-    return _recover_pair(problem, u, op, tol, its)
+    return _recover_pair(res, phi, lam, u, tol, its)
 
 
-def _mass_balanced(problem, op, u):
+def _mass_balanced(res, phi, u):
     """u + c, with c a constant at which the graphs' values hold the data's mass.
 
     Adding a constant leaves div u unchanged, so along constants the
@@ -592,9 +645,9 @@ def _mass_balanced(problem, op, u):
     doubling and found by bisection; u comes back unchanged without a
     bracket.
     """
-    nu = op.nu
-    mass = float(nu @ problem.phi[op.rows])
-    parts = problem._graph_parts
+    nu = res.op.nu
+    mass = float(nu @ phi[res.op.rows])
+    parts = res.parts
 
     def excess(c):
         # how far the nu-weighted graph values at u + c miss the mass
@@ -625,25 +678,6 @@ def _mass_balanced(problem, op, u):
     return u + c
 
 
-def _check_domain(problem):
-    """Raise NotConnected unless the problem's domain hypotheses hold."""
-    if not problem._connected:
-        raise NotConnected("the problem domain is not m-connected")
-    if problem.integration_set == "Q2":
-        _check_q2_hypothesis(problem)
-
-
-def _check_feasible(problem):
-    """Raise RangeInfeasible unless the data integral is inside the range."""
-    report = check_range(problem)
-    if not report.feasible:
-        raise RangeInfeasible(
-            "data integral %g outside the admissible range (%g, %g)"
-            % (report.integral_phi, report.r_minus, report.r_plus),
-            report=report,
-        )
-
-
 def solve_gp(problem: StationaryProblem, tol: float = DEFAULT_TOL) -> SolutionPair:
     """Solve the stationary inclusion problem.
 
@@ -653,39 +687,33 @@ def solve_gp(problem: StationaryProblem, tol: float = DEFAULT_TOL) -> SolutionPa
     the mass-balanced point it reached, yields no verified pair.  The pair
     carries the VerificationReport that accepted it.
     """
-    _check_domain(problem)
-    _check_feasible(problem)
-    return _solve(problem, problem._operator(), None, tol)
+    return problem._resolvent.solve(problem.phi, problem.lambda_scale, None, tol)
 
 
-def _solve(problem, op, start, tol):
-    """Solve a checked problem with its operator ``op``; returns the pair.
+def _solve(res, phi, lam, start, tol):
+    """J_lam at the node vector phi on a checked domain; returns the pair.
 
-    ``start`` is a guess for u over Omega, or None for zero.  The resolvent
-    Newton runs from it at the step mu = min(1, 1/lambda).  When that
-    stalls or its pair fails verification, it runs once more from the
-    point it reached, shifted onto the data's mass by ``_mass_balanced``,
-    and the second failure raises SolverDiverged.
+    Raises RangeInfeasible unless the data integral is inside the range.
+    The resolvent Newton runs from ``start`` (over Omega, None for zero)
+    at the step mu = min(1, 1/lam).  When that stalls or its pair fails
+    verification, it runs once more from the point it reached, shifted
+    onto the data's mass by ``_mass_balanced``; a second failure raises
+    SolverDiverged.
     """
-    u0 = np.zeros(op.rows.size) if start is None else start
+    report = res.range_report(phi)
+    if not report.feasible:
+        raise RangeInfeasible(
+            "data integral %g outside the admissible range (%g, %g)"
+            % (report.integral_phi, report.r_minus, report.r_plus),
+            report=report,
+        )
+    u0 = np.zeros(res.op.rows.size) if start is None else start
     reached = [u0]
     try:
-        return _resolvent_newton(problem, op, u0, tol, reached)
+        return _resolvent_newton(res, phi, lam, u0, tol, reached)
     except SolverDiverged:
-        restart = _mass_balanced(problem, op, reached[0])
-    return _resolvent_newton(problem, op, restart, tol, reached)
-
-
-def _check_q2_hypothesis(problem):
-    """Boundary nodes must each see the bulk, and the bulk must hang together."""
-    part = problem.partition
-    if part.omega1.size == 0:
-        raise NotConnected("the Q2 variant needs a nonempty bulk part")
-    if not is_m_connected(problem.space, part.omega1):
-        raise NotConnected("the Q2 variant needs an m-connected bulk part")
-    seen, _, _ = problem.space.block_pairs(part.omega2, part.omega1)
-    if np.unique(seen).size < part.omega2.size:
-        raise NotConnected("every boundary node must interact with the bulk under Q2")
+        restart = _mass_balanced(res, phi, reached[0])
+    return _resolvent_newton(res, phi, lam, restart, tol, reached)
 
 
 # ---------------------------------------------------------------------------
@@ -694,24 +722,25 @@ def _check_q2_hypothesis(problem):
 
 def verify_solution(problem, pair, tol) -> VerificationReport:
     """Inclusion, equation, and conservation checks for a candidate pair."""
+    res = problem._resolvent
     omega = problem.partition.omega
     u = np.asarray(pair.u, float)[omega]
     v = np.asarray(pair.v, float)[omega]
-    lam_div = problem.lambda_scale * problem._operator().apply(u)
-    return _verify(problem, u, v, tol, lam_div)
+    lam_div = problem.lambda_scale * res.op.apply(u)
+    return _verify(res, problem.phi, u, v, tol, lam_div)
 
 
-def _verify(problem, u, v, tol, lam_div, bounds=None):
+def _verify(res, phi, u, v, tol, lam_div, bounds=None):
     """``verify_solution`` on u and v over Omega, with lam*div u at hand,
     and the ``_graph_bounds`` at u if formed.  A node more than its
     tolerance outside its graph's domain makes the inclusion gap inf; the
     other nodes' gaps are measured against the bounds."""
-    omega = problem.partition.omega
+    omega = res.partition.omega
     inclusion = 0.0
     delta = tol * (1.0 + np.abs(u))
-    lo, hi = _graph_bounds(problem, u, delta) if bounds is None else bounds
+    lo, hi = _graph_bounds(res, u, delta) if bounds is None else bounds
     gap = np.where(v > hi, v - hi, np.where(v < lo, lo - v, 0.0))
-    for g, mask in problem._graph_parts:
+    for g, mask in res.parts:
         dlo, dhi = g.domain
         if math.isfinite(dlo) or math.isfinite(dhi):
             part = np.flatnonzero(mask)
@@ -720,12 +749,12 @@ def _verify(problem, u, v, tol, lam_div, bounds=None):
                 inclusion = float("inf")
                 gap[part[outside]] = 0.0
     inclusion = max(inclusion, float(np.max(gap, initial=0.0)))
-    eq = float(np.max(np.abs(v - lam_div - problem.phi[omega])))
-    nu = problem.space.nu[omega]
+    eq = float(np.max(np.abs(v - lam_div - phi[omega])))
+    nu = res.space.nu[omega]
     mass_v = float((nu * v).sum())
-    mass_phi = float((nu * problem.phi[omega]).sum())
+    mass_phi = float((nu * phi[omega]).sum())
     cons = abs(mass_v - mass_phi)
-    scale = 1.0 + _phi_inf(problem)
+    scale = 1.0 + _phi_inf(phi, omega)
     failures = []
     if inclusion > tol * (1.0 + float(np.max(np.abs(u), initial=0.0))):
         failures.append("inclusion gap %g" % inclusion)
@@ -762,7 +791,7 @@ def energy_report(problem, pair):
     probes on the pairs of the problem operator's masked kernel block.
     """
     omega = problem.partition.omega
-    op = problem._operator()
+    op = problem._resolvent.op
     u = np.asarray(pair.u, float)[omega]
     nu = op.nu
     p = problem.flux.p
@@ -770,7 +799,7 @@ def energy_report(problem, pair):
     du = np.abs(op._differences(u))
     energy = float((nu[op.pair_rows] * op.weights * du ** p).sum()) ** (1.0 / q)
     nu_total = float(nu.sum())
-    if not problem._connected:
+    if not problem._resolvent.connected:
         raise NotConnected("omega must be m-connected for the probe estimate")
     lam1, lam2 = _poincare_estimates(
         problem.space, omega, op.pairs, p, (nu_total, 0.5 * nu_total),

@@ -7,8 +7,13 @@ import numpy as np
 import pytest
 
 from conftest import evolution_instance, random_space
-from nldiff import evolution
-from nldiff.errors import CompatibilityViolated, InvalidParameter
+from nldiff import evolution, stationary
+from nldiff.errors import (
+    CompatibilityViolated,
+    InvalidParameter,
+    NldiffError,
+    RangeInfeasible,
+)
 from nldiff.evolution import (
     CompatibilityReport,
     EvolutionProblem,
@@ -21,7 +26,7 @@ from nldiff.evolution import (
     resolvent_static_boundary,
     strong_residual,
 )
-from nldiff.flux import p_laplacian_flux
+from nldiff.flux import NonlocalOperator, p_laplacian_flux
 from nldiff.monotone import (
     make_hele_shaw,
     make_identity,
@@ -36,7 +41,7 @@ from nldiff.space import (
     from_weighted_graph,
     m_boundary,
 )
-from nldiff.stationary import DEFAULT_TOL, verify_solution
+from nldiff.stationary import DEFAULT_TOL, StationaryProblem, verify_solution
 
 TWO_NODE = from_weighted_graph([[0, 1], [1, 0]])
 LOOP = from_weighted_graph([[1.0]])  # single node with a self-loop
@@ -251,6 +256,42 @@ def test_exported_resolvents_are_the_first_implicit_step(mode):
         assert w.tobytes() == sol.w[1].tobytes(), seed
 
 
+@pytest.mark.parametrize("mode", ["dynamical", "static_boundary"])
+def test_a_problem_builds_one_operator_and_searches_once(mode, monkeypatch):
+    """Two trajectories, a refinement and the strong residual of one
+    problem build one operator over omega and search its connectivity
+    once, and two exported resolvent steps add neither."""
+    problem, _ = evolution_instance(3, mode, allow_forcing=False)
+    built, searched = [], []
+    init, connected = NonlocalOperator.__init__, stationary.is_m_connected
+
+    def building(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    def searching(*args):
+        searched.append(args)
+        return connected(*args)
+
+    monkeypatch.setattr(NonlocalOperator, "__init__", building)
+    monkeypatch.setattr(stationary, "is_m_connected", searching)
+    sol = mild_solve(problem, 4)
+    mild_solve(problem, 4)
+    refine_and_compare(problem, 4, 1)
+    strong_residual(problem, sol)
+    assert (len(built), len(searched)) == (1, 1)
+    tau = problem.horizon / 4
+    for _ in range(2):
+        if mode == "dynamical":
+            psi = np.zeros(problem.space.node_count)
+            psi[problem.partition.omega1] = problem.v0
+            psi[problem.partition.omega2] = problem.w0
+            resolvent_dynamical(problem, tau, psi)
+        else:
+            resolvent_static_boundary(problem, tau, problem.v0)
+    assert (len(built), len(searched)) == (1, 1)
+
+
 @pytest.mark.parametrize("lam", [0.0, -0.5])
 def test_exported_resolvents_reject_a_nonpositive_step(lam):
     problem, _ = evolution_instance(0, "dynamical", allow_forcing=False)
@@ -280,6 +321,41 @@ def test_compatibility_strict_at_exact_boundary():
     report = compatibility_check(problem, 8)
     assert not report.passed
     assert report.violation_time == 0.0
+
+
+def test_a_step_outside_the_range_violates_compatibility():
+    """Hele-Shaw on a 3-node path, every state 1e-11 below the top of its
+    range and no sources: the probe passes, as its margin is 0 without
+    sources, but the first step's data integral is within the range
+    check's tolerance of the bound, so the step raises
+    CompatibilityViolated from its RangeInfeasible."""
+    space = from_weighted_graph([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    state = 1.0 - 1e-11
+    problem = dynamical(space, [0, 1], [2], [state, state], w0=[state],
+                        gamma=make_hele_shaw(), beta=make_hele_shaw())
+    assert compatibility_check(problem, 4).passed
+    with pytest.raises(CompatibilityViolated, match="at step 1 ") as info:
+        mild_solve(problem, 4)
+    assert isinstance(info.value.__cause__, RangeInfeasible)
+    assert info.value.report is info.value.__cause__.report
+    assert not info.value.report.feasible
+
+
+@pytest.mark.parametrize("horizon", [1e200, 1e300])
+@pytest.mark.parametrize("law", ["identity", "stefan"])
+def test_huge_steps_solve_or_raise_a_documented_error(law, horizon):
+    """Steps of 2.5e199 and more give mu = 1/tau so small that F @ F
+    underflows while Newton's residual is still above its stop: each
+    trajectory solves and keeps its mass, or raises an NldiffError.  With
+    the unscaled 2-norm, the identity-law ones raised ZeroDivisionError."""
+    gamma = make_identity() if law == "identity" else make_stefan(1.0)
+    problem = dynamical(TWO_NODE, [0], [1], [1.0], w0=[0.0], gamma=gamma,
+                        horizon=horizon)
+    try:
+        sol = mild_solve(problem, 4)
+    except NldiffError:
+        return
+    assert np.allclose(sol.mass_series, sol.mass_series[0], rtol=1e-12)
 
 
 def test_compatibility_passes_inside():
@@ -510,16 +586,21 @@ def grid_problem(seed, law):
 
 @pytest.fixture
 def step_pairs(monkeypatch):
-    """(problem, pair) of every step that mild_solve solves in the test."""
+    """(problem, pair) of every step that mild_solve solves in the test,
+    the problem being the stationary one the step's resolvent solves."""
     seen = []
-    solve = evolution._solve
+    solve = stationary._solve
 
-    def recording(problem, op, start, tol):
-        pair = solve(problem, op, start, tol)
+    def recording(res, phi, lam, start, tol):
+        pair = solve(res, phi, lam, start, tol)
+        problem = StationaryProblem(
+            space=res.space, partition=res.partition, flux=res.flux,
+            gamma=res.gamma, beta=res.beta, phi=phi, lambda_scale=lam,
+        )
         seen.append((problem, pair))
         return pair
 
-    monkeypatch.setattr(evolution, "_solve", recording)
+    monkeypatch.setattr(stationary, "_solve", recording)
     return seen
 
 

@@ -113,8 +113,9 @@ def test_resolvent_newton_jacobian_matches_finite_differences(seed):
     problem, _, _ = forward_instance(
         seed, graph_names=("stefan", "hele_shaw", "obstacle", "power2"),
         p_choices=(2.0, 3.0), min_nodes=5)
-    op = problem._operator()
-    fj = _resolvent_system(problem, op, 1.0)
+    res = problem._resolvent
+    op = res.op
+    fj = _resolvent_system(res, problem.phi, problem.lambda_scale, 1.0)
     u = np.random.default_rng(seed).uniform(-0.8, 0.8, op.rows.size)
     jac = fj(u)[1]().matrix
     h = 1e-7
@@ -130,7 +131,7 @@ def test_stalled_resolvent_newton_restarts_from_the_mass_balanced_point(monkeypa
     from some of 200 random starts; the restart solves every one of them."""
     problem, _, _ = forward_instance(54)
     problem = dataclasses.replace(problem, phi=sibling_phi(problem, 10_054))
-    op = problem._operator()
+    res = problem._resolvent
     restarts = []
     mass_balanced = stationary._mass_balanced
 
@@ -139,13 +140,14 @@ def test_stalled_resolvent_newton_restarts_from_the_mass_balanced_point(monkeypa
         return mass_balanced(*args)
 
     monkeypatch.setattr(stationary, "_mass_balanced", recording)
-    pair = stationary._solve(problem, op, None, DEFAULT_TOL)
+    pair = stationary._solve(res, problem.phi, problem.lambda_scale, None, DEFAULT_TOL)
     assert len(restarts) == 1
     assert verify_solution(problem, pair, DEFAULT_TOL).passed
     rng = np.random.default_rng(0)
     for _ in range(200):
-        start = rng.uniform(-3.0, 3.0, op.rows.size)
-        pair = stationary._solve(problem, op, start, DEFAULT_TOL)
+        start = rng.uniform(-3.0, 3.0, res.op.rows.size)
+        pair = stationary._solve(res, problem.phi, problem.lambda_scale, start,
+                                 DEFAULT_TOL)
         assert verify_solution(problem, pair, DEFAULT_TOL).passed
 
 
@@ -168,15 +170,16 @@ def test_newton_drifting_along_constants_restarts_onto_the_mass(scale, p, seed):
 
 def test_mass_balanced_shift_puts_the_mass_into_the_graph_values():
     problem, _, _ = forward_instance(54)
-    op = problem._operator()
+    res = problem._resolvent
+    op = res.op
     nu = op.nu
     mass = float(nu @ problem.phi[op.rows])
     u = np.random.default_rng(1).uniform(-1.0, 1.0, op.rows.size) + 5.0e6
-    shifted = stationary._mass_balanced(problem, op, u)
+    shifted = stationary._mass_balanced(res, problem.phi, u)
     c = shifted - u
     assert np.allclose(c, c[0], rtol=0.0, atol=1e-8)
     lo = hi = 0.0
-    for g, mask in problem._graph_parts:
+    for g, mask in res.parts:
         a, b = g.interval(shifted[mask])
         lo, hi = lo + float(nu[mask] @ a), hi + float(nu[mask] @ b)
     assert lo - 1e-9 * abs(mass) <= mass <= hi + 1e-9 * abs(mass)
@@ -382,13 +385,17 @@ def evaluations(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("scale", [1e-3, 1.0])
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-100, 1e-3, 1.0])
 def test_stress_sweep_solves_on_one_path(scale, evaluations, monkeypatch):
-    """Targets scaled by 1e-3 and 1, every p and lambda: the first Newton
+    """Targets scaled by 1e-300 to 1, every p and lambda: the first Newton
     solves and verifies each case, within 4,000 residual evaluations.  All
     but five need under 600; the most, 1,931 and 1,627, go to p = 5,
     lambda = 1e4, seed 2001 at 1 and p = 1.5, lambda = 1e4, seed 2003 at
-    1e-3.  The sweeps take 3,560 evaluations at 1 and 6,090 at 1e-3."""
+    1e-3.  The sweeps take 3,560 evaluations at 1 and 6,090 at 1e-3, and
+    132 to 144 at 1e-100 and below, where the start u = 0 already meets
+    Newton's absolute stop and only the last step runs; there F @ F
+    underflows, and an unscaled 2-norm of F divided by zero on 12, 24 and
+    24 of the 72 cases."""
     monkeypatch.setattr(stationary, "_mass_balanced", _no_restart)
     for p in STRESS_P:
         for lam in STRESS_LAMBDA:
@@ -437,6 +444,18 @@ def test_stress_sweep_large_targets_verify_or_raise_in_bounded_work(evaluations)
                     solved += 1
                 assert len(evaluations) <= 20000, (p, lam, seed, len(evaluations))
     assert solved >= 62
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e-200, 1e-300])
+def test_two_node_step_at_underflowing_scales(scale):
+    """Identity laws, p = 2 and phi = (scale, 0): the pair is
+    scale*(2/3, 1/3) at every scale, also where F @ F underflows."""
+    problem = two_node_problem(phi=(scale, 0.0))
+    pair = solve_gp(problem)
+    assert pair.verification.passed
+    expected = scale * np.array([2.0, 1.0]) / 3.0
+    assert np.allclose(pair.u, expected, rtol=1e-12, atol=0.0)
+    assert np.allclose(pair.v, expected, rtol=1e-12, atol=0.0)
 
 
 def test_solvers_never_call_the_regularized_solve(monkeypatch):
@@ -512,11 +531,12 @@ def newton_systems(caller, p, lam, monkeypatch):
         return fj, start + rng.uniform(-0.5, 0.5, start.size), -1.0
     gamma = make_stefan(1.0) if caller == "resolvent, Stefan" else make_power(2.0)
     problem, _ = grid_problem(12, gamma, make_identity(), p, lam)
-    op = problem._operator()
+    res = problem._resolvent
+    op = res.op
     if caller == "approximate":
-        fj = stationary._approx_system(problem, op, 10, 10, 1e6)
+        fj = stationary._approx_system(res, problem.phi, lam, 10, 10, 1e6)
         return fj, rng.uniform(-1.0, 1.0, op.rows.size), 1.0
-    fj = _resolvent_system(problem, op, min(1.0, 1.0 / lam))
+    fj = _resolvent_system(res, problem.phi, lam, min(1.0, 1.0 / lam))
     # half the nodes start at 0, most of them on Stefan's jump, where the
     # resolvent is flat
     u = rng.uniform(-1.0, 1.0, op.rows.size) * (rng.random(op.rows.size) < 0.5)
@@ -567,7 +587,7 @@ def test_grid_solve_forms_no_dense_matrix(monkeypatch):
     np.linalg.solve, and allocates less than one rows x rows array."""
     problem, _ = grid_problem(30, make_power(2.0), make_identity(), 3.0, 1.0)
     n = problem.partition.omega.size
-    pairs = problem._operator().weights.size
+    pairs = problem._resolvent.op.weights.size
     assert pairs < 10 * n
     flux_sizes, solve_sizes = [], []
 
@@ -641,7 +661,7 @@ def test_long_chain_solves_within_a_cg_budget(lam, cg_budget, monkeypatch):
     step solved to 1e-12 relative, they were 216,897 over 131 and 97,872
     over 182."""
     problem, _ = chain_problem(400, make_hele_shaw(), make_stefan(1.0), 3.0, lam, 7)
-    assert not problem._operator().direct
+    assert not problem._resolvent.op.direct
     counts = []
     solve = stationary._NewtonMatrix.solve
 
@@ -666,7 +686,7 @@ def test_cg_at_its_cap_hands_over_to_the_shift_escalation(monkeypatch):
     rounding, reaches the cap too, and keeps the u it was given."""
     n = 200
     problem, u_star = chain_problem(n, make_identity(), make_identity(), 3.0, 3e3, 3)
-    assert not problem._operator().direct
+    assert not problem._resolvent.op.direct
     cap = n
     outcomes, last_steps = [], []
     solve, last_step = stationary._NewtonMatrix.solve, stationary._last_step
@@ -706,7 +726,7 @@ def test_cg_breaks_off_on_nonpositive_curvature():
     Laplacian) gives a direction of negative curvature at once: CG breaks
     off on its first iteration and raises, well before its cap."""
     problem, _ = grid_problem(12, make_stefan(1.0), make_identity(), 3.0, 1.0)
-    op = problem._operator()
+    op = problem._resolvent.op
     assert not op.direct
     rng = np.random.default_rng(2)
     u = rng.uniform(-1.0, 1.0, op.rows.size)
@@ -749,17 +769,18 @@ def test_dense_newton_matrix_is_the_assembly_bit_for_bit(name):
     each caller's form, bit for bit: the rows of op.jacobian(u) scaled by
     -b and c added to the diagonal."""
     problem = DENSE_SPACES[name]()
-    op = problem._operator()
+    res = problem._resolvent
+    op = res.op
     assert op.direct
     rng = np.random.default_rng(9)
     u = rng.uniform(-1.0, 1.0, op.rows.size) * (rng.random(op.rows.size) < 0.5)
     lam = problem.lambda_scale
     mu = min(1.0, 1.0 / lam)
     # the resolvent form: I - D*(I + mu*lam*op.jacobian(u))
-    jac = _resolvent_system(problem, op, mu)(u)[1]()
+    jac = _resolvent_system(res, problem.phi, lam, mu)(u)[1]()
     s = u + mu * (problem.phi[op.rows] + lam * op.apply(u))
     d = np.empty_like(u)
-    for g, mask in problem._graph_parts:
+    for g, mask in res.parts:
         d[mask] = g.resolvent_slope(mu, s[mask])[1]
     expected = op.jacobian(u)
     expected *= (-mu * lam) * d[:, None]
@@ -833,9 +854,9 @@ def test_a_problem_builds_its_operator_once(monkeypatch):
     pair = solve_gp(problem)
     assert verify_solution(problem, pair, DEFAULT_TOL).passed
     energy_report(problem, pair)
-    assert len(built) == 1 and built[0] is problem._operator()
+    assert len(built) == 1 and built[0] is problem._resolvent.op
     sibling = dataclasses.replace(problem, phi=sibling_phi(problem, 7))
-    assert sibling._operator() is not built[0]
+    assert sibling._resolvent.op is not built[0]
 
 @pytest.mark.parametrize("integration_set", ["Q1", "Q2"])
 def test_energy_report_shares_one_probe_set(monkeypatch, integration_set):
@@ -876,10 +897,10 @@ def test_energy_report_shares_one_probe_set(monkeypatch, integration_set):
     monkeypatch.undo()
     (_, omega, _, p, levels), values = estimates[0]
     assert values == [
-        estimate_poincare_constant(space, omega, problem._mask_spec, p, l, 8, seed=0)
+        estimate_poincare_constant(space, omega, problem._resolvent.mask_spec, p, l, 8, seed=0)
         for l in levels
     ]
-    i, j, m = space.block_pairs(omega, omega, problem._mask_spec)
+    i, j, m = space.block_pairs(omega, omega, problem._resolvent.mask_spec)
     u = pair.u[omega]
     terms = space.nu[omega][i] * m * np.abs(u[j] - u[i]) ** 3.0
     exact = math.fsum(terms) ** (2.0 / 3.0)
@@ -917,7 +938,7 @@ def test_a_solve_forms_the_graph_bounds_once(monkeypatch):
     monkeypatch.setattr(stationary, "_values_near", counting)
     monkeypatch.setattr(stationary, "_mass_balanced", _no_restart)
     pair = solve_gp(problem)
-    assert len(calls) == len(problem._graph_parts) == 2
+    assert len(calls) == len(problem._resolvent.parts) == 2
     calls.clear()
     assert verify_solution(problem, pair, DEFAULT_TOL) == pair.verification
     assert len(calls) == 2
